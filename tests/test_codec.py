@@ -46,6 +46,39 @@ messages = st.one_of(
 )
 
 
+# Exact wire bytes of one instance of each message type. The wire format is
+# shared by peers of different builds, so these bytes must never change.
+GOLDEN_HEX = [
+    (Prepare(b"k", 7, ReqKind.WRITE, Ticket(1, 2)),
+     "01000000016b000000000000000701000000000000000100000002"),
+    (PaxosPrep(b"key", 1001, Round(3, None), Ticket(4, 1)),
+     "02000000036b657900000000000003e90000000300000000000000000400000001"),
+    (Vote(b"k", 1002, Round(5, 1002), Value(b"v1"), ReqID(1002, 3), None, Ticket(9, 0)),
+     "03000000016b00000000000003ea000000050100000000000003ea000000000276310100000000"
+     "000003ea000000000000000300000000000000000900000000"),
+    (Ack(b"k", 2, Ticket(9, 1), Round(6, 1001), EMPTY, ROUND_ZERO, None, True),
+     "04000000016b0000000000000002000000000000000900000001000000060100000000000003e9"
+     "010000000000000000000001"),
+    (Voted(b"k", 0, Ticket(9, 0), Round(5, 1002), Value(b"v1")),
+     "05000000016b0000000000000000000000000000000900000000000000050100000000000003ea"
+     "00000000027631"),
+    (Nack(b"", 1, Ticket(0, 0), Round(2**32 - 1, 2**64 - 1)),
+     "06000000000000000000000001000000000000000000000000ffffffff01ffffffffffffffff"),
+    (Learned(b"k", 1, ReqID(1002, 3)),
+     "07000000016b00000000000000010100000000000003ea0000000000000003"),
+    (ClientRequest(b"k", ReqKind.READ, b"", 17),
+     "08000000016b00000000000000000000000011"),
+    (ClientReply(Status.ALREADY_CHOSEN, Value(b"x"), 17),
+     "09030000000001780000000000000011"),
+]
+
+
+@pytest.mark.parametrize("msg,hexed", GOLDEN_HEX, ids=[type(m).__name__ for m, _ in GOLDEN_HEX])
+def test_golden_wire_bytes(msg, hexed):
+    assert codec.encode(msg).hex() == hexed
+    assert codec.decode(bytes.fromhex(hexed)) == msg
+
+
 @given(messages)
 def test_round_trip(msg):
     assert codec.decode(codec.encode(msg)) == msg

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rmwreg import kv
@@ -19,6 +21,12 @@ from rmwreg.sim import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+
+
+# sha256 over trace_to_jsonl for the seed set in test_golden_trace_digest.
+# Recorded traces must replay byte-identically, so a change to the
+# simulator's schedule or to the trace format must not move this digest.
+GOLDEN_TRACE_SHA256 = "8ec4b2b03c6e7731e190d088a22e43f296da8b64caa8c4e09ebfdb20750fdc20"
 
 
 def script(client, ops, **kw):
@@ -147,3 +155,23 @@ def test_random_crash_plan_is_deterministic_and_bounded():
     assert p1 == p2
     crashed_acceptors = {pid for _, pid, act in p1 if act == "crash" and pid < PROPOSER_BASE}
     assert len(crashed_acceptors) <= 2
+
+
+def test_golden_trace_digest():
+    from rmwreg.cli import default_scripts
+
+    arms = (
+        (Mode.WRITE_ONCE, 3, dict(fifo=False, drop=0.1, dup=0.05)),
+        (Mode.WRITE_ONCE, 5, dict(fifo=False, drop=0.05, dup=0.05)),
+        (Mode.SEQUENCE, 3, dict(fifo=True)),
+        (Mode.RMW, 3, dict(fifo=True)),
+    )
+    digest = hashlib.sha256()
+    for mode, n, links in arms:
+        scripts = default_scripts(mode, 3)
+        for seed in range(10):
+            plan = random_crash_plan(seed, n, (n - 1) // 2, 200, [s.proposer for s in scripts])
+            sim = SimConfig(seed=seed, max_delay=10, crash_plan=plan, **links)
+            res = run_workload(Config(n_acceptors=n, register_mode=mode), sim, scripts)
+            digest.update(trace_to_jsonl(res.trace))
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256
