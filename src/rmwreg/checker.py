@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .core import ROUND_ZERO, Ordering, Round, Value, round_compare
 from .messages import ReqKind, Status, Vote, Voted
 from .quorum import quorum_size
+from .trace import ClientResponseEv, SendEv, StateSnapshotEv
 
 MAX_LINEARIZE_OPS = 12
 
@@ -333,8 +334,6 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
     P3: at most one proposal is issued per round number.
     Plus: acceptor promises are monotone and votes never go below them.
     """
-    from .sim import ClientResponseEv, SendEv, StateSnapshotEv  # cycle-free at runtime
-
     verdict = Verdict()
     quorum = quorum_size(n_acceptors)
 

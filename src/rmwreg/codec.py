@@ -1,14 +1,25 @@
 """Canonical binary encoding of protocol types and messages.
 
-Fixed field order (as declared on the dataclasses), big-endian integers,
-length-prefixed variable fields. Shared by simulator traces and the socket
-demo, which frames each message with a 4-byte big-endian length prefix.
+Big-endian integers, length-prefixed variable fields. The socket demo frames
+each message with a 4-byte big-endian length prefix; simulator traces carry
+messages as hex (see `rmwreg.trace`).
+
+The field kinds below are the only place a type's wire and JSON form is
+stated, and `MESSAGES` the only place a message's fields and their wire order
+are. Two entries deliberately depart from the dataclass declarations, and
+stay because encoded bytes are shared between builds: `Value` puts its empty
+flag before its payload, and `Learned.req`, though always set, carries the
+presence byte of an optional request id.
+
+Decoding is canonical: input that decodes re-encodes to the same bytes, and
+any other input raises `CodecError`.
 """
 from __future__ import annotations
 
-import io
+import dataclasses
 import struct
-from typing import Optional
+from operator import attrgetter, index
+from typing import Any, Callable, NamedTuple, Tuple
 
 from .core import ReqID, Round, Value
 from .messages import (
@@ -31,210 +42,162 @@ class CodecError(Exception):
     """Malformed or truncated encoding."""
 
 
-_U8 = struct.Struct(">B")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
+class Kind(NamedTuple):
+    """One field type's wire form, `put(v) -> bytes` and
+    `take(data, pos) -> (v, next_pos)`, and its JSON form. `fmt` is the
+    struct code of a fixed-width integer. Kinds used only in JSON, such as
+    `MESSAGE`, have no wire form."""
+
+    put: Callable[[Any], bytes]
+    take: Callable[[bytes, int], Tuple[Any, int]]
+    to_json: Callable[[Any], Any] = lambda v: v
+    from_json: Callable[[Any], Any] = lambda j: j
+    fmt: str = ""
 
 
-def _w_u8(buf: io.BytesIO, v: int) -> None:
-    buf.write(_U8.pack(v))
+def _int(fmt: str) -> Kind:
+    s = struct.Struct(">" + fmt)
+
+    def take(data, pos):
+        return s.unpack_from(data, pos)[0], pos + s.size
+
+    return Kind(s.pack, take, from_json=index, fmt=fmt)  # index() rejects a non-integer
 
 
-def _w_u32(buf: io.BytesIO, v: int) -> None:
-    buf.write(_U32.pack(v))
+def _flag(data: bytes, pos: int) -> bool:
+    # A flag byte other than 0 or 1 would not re-encode to itself.
+    if data[pos] > 1:
+        raise CodecError(f"flag byte {data[pos]} at offset {pos}")
+    return data[pos] == 1
 
 
-def _w_u64(buf: io.BytesIO, v: int) -> None:
-    buf.write(_U64.pack(v))
+def _take_bytes(data, pos):
+    n, pos = U32.take(data, pos)
+    if pos + n > len(data):
+        raise CodecError(f"truncated encoding at byte {pos}")
+    return data[pos : pos + n], pos + n
 
 
-def _w_bytes(buf: io.BytesIO, b: bytes) -> None:
-    _w_u32(buf, len(b))
-    buf.write(b)
+U32 = _int("I")
+U64 = _int("Q")
+FLAG = Kind(lambda v: b"\x01" if v else b"\x00", lambda data, pos: (_flag(data, pos), pos + 1))
+BYTES = Kind(lambda v: U32.put(len(v)) + v, _take_bytes, bytes.hex, bytes.fromhex)
 
 
-def _w_round(buf: io.BytesIO, r: Round) -> None:
-    _w_u32(buf, r.n)
-    if r.id is None:
-        _w_u8(buf, 0)
+def enum(cls) -> Kind:
+    """One byte holding the member's value; JSON is the value."""
+    return Kind(
+        lambda v: bytes((v.value,)),
+        lambda data, pos: (cls(data[pos]), pos + 1),
+        lambda v: v.value,
+        cls,
+    )
+
+
+def optional(kind: Kind) -> Kind:
+    """A presence flag byte, then `kind` when present; JSON null when absent."""
+    return Kind(
+        lambda v: b"\x00" if v is None else b"\x01" + kind.put(v),
+        lambda data, pos: kind.take(data, pos + 1) if _flag(data, pos) else (None, pos + 1),
+        lambda v: None if v is None else kind.to_json(v),
+        lambda j: None if j is None else kind.from_json(j),
+    )
+
+
+def record(cls, fields, json_list: bool = False) -> Kind:
+    """A dataclass as two or more `(name, kind)` fields in wire order, which
+    name every declared field. JSON is an object keyed by field name, or with
+    `json_list` a list in wire order."""
+    get = attrgetter(*(name for name, _ in fields))
+    declared = [f.name for f in dataclasses.fields(cls)]
+    slots = [declared.index(name) for name, _ in fields]  # constructor positions
+    if all(kind.fmt for _, kind in fields) and slots == sorted(slots):
+        # Only fixed-width integers, in declaration order: one struct call.
+        fixed = struct.Struct(">" + "".join(kind.fmt for _, kind in fields))
+
+        def put(v):
+            return fixed.pack(*get(v))
+
+        def take(data, pos):
+            return cls(*fixed.unpack_from(data, pos)), pos + fixed.size
+
     else:
-        _w_u8(buf, 1)
-        _w_u64(buf, r.id)
+        puts = tuple(kind.put for _, kind in fields)
+        steps = tuple(zip(slots, (kind.take for _, kind in fields)))
+
+        def put(v):
+            return b"".join([put_field(x) for put_field, x in zip(puts, get(v))])
+
+        def take(data, pos):
+            vals = [None] * len(steps)
+            for slot, take_field in steps:
+                vals[slot], pos = take_field(data, pos)
+            return cls(*vals), pos
+
+    def to_json(v):
+        out = {name: kind.to_json(x) for (name, kind), x in zip(fields, get(v))}
+        return list(out.values()) if json_list else out
+
+    def from_json(j):
+        if json_list:
+            j = dict(zip((name for name, _ in fields), j, strict=True))
+        return cls(**{name: kind.from_json(j[name]) for name, kind in fields})
+
+    return Kind(put, take, to_json, from_json)
 
 
-def _w_req(buf: io.BytesIO, req: Optional[ReqID]) -> None:
-    if req is None:
-        _w_u8(buf, 0)
-    else:
-        _w_u8(buf, 1)
-        _w_u64(buf, req.pid)
-        _w_u64(buf, req.seq)
+ROUND = record(Round, (("n", U32), ("id", optional(U64))), json_list=True)
+OPT_REQ = optional(record(ReqID, (("pid", U64), ("seq", U64)), json_list=True))
+VALUE = record(Value, (("empty", FLAG), ("payload", BYTES)))  # flag first, see above
+TICKET = record(Ticket, (("request", U64), ("instance", U32)))
+REQ_KIND = enum(ReqKind)
+STATUS = enum(Status)
+_ADDRESSED = (("key", BYTES), ("src", U64))
 
-
-def _w_value(buf: io.BytesIO, v: Value) -> None:
-    _w_u8(buf, 1 if v.empty else 0)
-    _w_bytes(buf, v.payload)
-
-
-def _w_ticket(buf: io.BytesIO, t: Ticket) -> None:
-    _w_u64(buf, t.request)
-    _w_u32(buf, t.instance)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise CodecError(f"truncated encoding at byte {self._pos}")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def bytes_(self) -> bytes:
-        return self._take(self.u32())
-
-    def round(self) -> Round:
-        n = self.u32()
-        has_id = self.u8()
-        return Round(n, self.u64() if has_id else None)
-
-    def req(self) -> Optional[ReqID]:
-        if not self.u8():
-            return None
-        return ReqID(self.u64(), self.u64())
-
-    def value(self) -> Value:
-        empty = bool(self.u8())
-        payload = self.bytes_()
-        if empty and payload:
-            raise CodecError("empty value with payload")
-        return Value(payload, empty)
-
-    def ticket(self) -> Ticket:
-        return Ticket(self.u64(), self.u32())
-
-    def done(self) -> None:
-        if self._pos != len(self._data):
-            raise CodecError(f"trailing bytes at offset {self._pos}")
-
-
-_TAG_PREPARE = 1
-_TAG_PAXOS_PREP = 2
-_TAG_VOTE = 3
-_TAG_ACK = 4
-_TAG_VOTED = 5
-_TAG_NACK = 6
-_TAG_LEARNED = 7
-_TAG_CLIENT_REQ = 8
-_TAG_CLIENT_REPLY = 9
+# tag -> (message type, its fields in wire order)
+MESSAGES = {
+    1: (Prepare, _ADDRESSED + (("kind", REQ_KIND), ("ticket", TICKET))),
+    2: (PaxosPrep, _ADDRESSED + (("round", ROUND), ("ticket", TICKET))),
+    3: (Vote, _ADDRESSED + (("round", ROUND), ("value", VALUE), ("req_cur", OPT_REQ),
+                            ("req_prev", OPT_REQ), ("ticket", TICKET))),
+    4: (Ack, _ADDRESSED + (("ticket", TICKET), ("r_ack", ROUND), ("val", VALUE),
+                           ("r_voted", ROUND), ("req", OPT_REQ), ("incremented", FLAG))),
+    5: (Voted, _ADDRESSED + (("ticket", TICKET), ("round", ROUND), ("value", VALUE))),
+    6: (Nack, _ADDRESSED + (("ticket", TICKET), ("r_ack", ROUND))),
+    7: (Learned, _ADDRESSED + (("req", OPT_REQ),)),  # presence byte, see above
+    8: (ClientRequest, (("key", BYTES), ("kind", REQ_KIND), ("command", BYTES),
+                        ("client_seq", U64))),
+    9: (ClientReply, (("status", STATUS), ("value", VALUE), ("client_seq", U64))),
+}
+_BY_TAG = {tag: record(cls, fields) for tag, (cls, fields) in MESSAGES.items()}
+_BY_CLASS = {cls: (tag, _BY_TAG[tag]) for tag, (cls, _) in MESSAGES.items()}
 
 
 def encode(msg) -> bytes:
-    buf = io.BytesIO()
-    if isinstance(msg, Prepare):
-        _w_u8(buf, _TAG_PREPARE)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_u8(buf, msg.kind.value)
-        _w_ticket(buf, msg.ticket)
-    elif isinstance(msg, PaxosPrep):
-        _w_u8(buf, _TAG_PAXOS_PREP)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_round(buf, msg.round)
-        _w_ticket(buf, msg.ticket)
-    elif isinstance(msg, Vote):
-        _w_u8(buf, _TAG_VOTE)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_round(buf, msg.round)
-        _w_value(buf, msg.value)
-        _w_req(buf, msg.req_cur)
-        _w_req(buf, msg.req_prev)
-        _w_ticket(buf, msg.ticket)
-    elif isinstance(msg, Ack):
-        _w_u8(buf, _TAG_ACK)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_ticket(buf, msg.ticket)
-        _w_round(buf, msg.r_ack)
-        _w_value(buf, msg.val)
-        _w_round(buf, msg.r_voted)
-        _w_req(buf, msg.req)
-        _w_u8(buf, 1 if msg.incremented else 0)
-    elif isinstance(msg, Voted):
-        _w_u8(buf, _TAG_VOTED)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_ticket(buf, msg.ticket)
-        _w_round(buf, msg.round)
-        _w_value(buf, msg.value)
-    elif isinstance(msg, Nack):
-        _w_u8(buf, _TAG_NACK)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_ticket(buf, msg.ticket)
-        _w_round(buf, msg.r_ack)
-    elif isinstance(msg, Learned):
-        _w_u8(buf, _TAG_LEARNED)
-        _w_bytes(buf, msg.key)
-        _w_u64(buf, msg.src)
-        _w_req(buf, msg.req)
-    elif isinstance(msg, ClientRequest):
-        _w_u8(buf, _TAG_CLIENT_REQ)
-        _w_bytes(buf, msg.key)
-        _w_u8(buf, msg.kind.value)
-        _w_bytes(buf, msg.command)
-        _w_u64(buf, msg.client_seq)
-    elif isinstance(msg, ClientReply):
-        _w_u8(buf, _TAG_CLIENT_REPLY)
-        _w_u8(buf, msg.status.value)
-        _w_value(buf, msg.value)
-        _w_u64(buf, msg.client_seq)
-    else:
-        raise CodecError(f"cannot encode {type(msg).__name__}")
-    return buf.getvalue()
+    try:
+        tag, kind = _BY_CLASS[type(msg)]
+    except KeyError:
+        raise CodecError(f"cannot encode {type(msg).__name__}") from None
+    return bytes((tag,)) + kind.put(msg)
 
 
 def decode(data: bytes):
-    r = _Reader(data)
-    tag = r.u8()
-    if tag == _TAG_PREPARE:
-        msg = Prepare(r.bytes_(), r.u64(), ReqKind(r.u8()), r.ticket())
-    elif tag == _TAG_PAXOS_PREP:
-        msg = PaxosPrep(r.bytes_(), r.u64(), r.round(), r.ticket())
-    elif tag == _TAG_VOTE:
-        msg = Vote(r.bytes_(), r.u64(), r.round(), r.value(), r.req(), r.req(), r.ticket())
-    elif tag == _TAG_ACK:
-        msg = Ack(
-            r.bytes_(), r.u64(), r.ticket(), r.round(), r.value(), r.round(), r.req(), bool(r.u8())
-        )
-    elif tag == _TAG_VOTED:
-        msg = Voted(r.bytes_(), r.u64(), r.ticket(), r.round(), r.value())
-    elif tag == _TAG_NACK:
-        msg = Nack(r.bytes_(), r.u64(), r.ticket(), r.round())
-    elif tag == _TAG_LEARNED:
-        msg = Learned(r.bytes_(), r.u64(), r.req())
-    elif tag == _TAG_CLIENT_REQ:
-        msg = ClientRequest(r.bytes_(), ReqKind(r.u8()), r.bytes_(), r.u64())
-    elif tag == _TAG_CLIENT_REPLY:
-        msg = ClientReply(Status(r.u8()), r.value(), r.u64())
-    else:
-        raise CodecError(f"unknown message tag {tag}")
-    r.done()
+    if not data:
+        raise CodecError("empty encoding")
+    kind = _BY_TAG.get(data[0])
+    if kind is None:
+        raise CodecError(f"unknown message tag {data[0]}")
+    try:
+        msg, pos = kind.take(data, 1)
+    except (IndexError, ValueError, struct.error) as exc:
+        raise CodecError(f"malformed encoding: {exc}") from exc
+    if pos != len(data):
+        raise CodecError(f"trailing bytes at offset {pos}")
     return msg
+
+
+# JSON form of a whole message: its canonical encoding in hex.
+MESSAGE = Kind(None, None, lambda m: encode(m).hex(), lambda j: decode(bytes.fromhex(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +206,7 @@ def decode(data: bytes):
 
 def frame(msg) -> bytes:
     body = encode(msg)
-    return _U32.pack(len(body)) + body
+    return U32.put(len(body)) + body
 
 
 def read_frame(sock):
@@ -251,8 +214,7 @@ def read_frame(sock):
     header = _read_exact(sock, 4)
     if header is None:
         return None
-    (length,) = _U32.unpack(header)
-    body = _read_exact(sock, length)
+    body = _read_exact(sock, U32.take(header, 0)[0])
     if body is None:
         raise CodecError("connection closed mid-frame")
     return decode(body)

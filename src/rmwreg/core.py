@@ -15,6 +15,10 @@ from typing import Callable, FrozenSet, Iterable, Optional
 # the partial order on rounds.
 ProcessId = int
 
+# Proposer pids are PROPOSER_BASE + i, so they never collide with acceptor
+# pids 0..n-1; replica i hosts acceptor i and proposer PROPOSER_BASE + i.
+PROPOSER_BASE = 1000
+
 
 class Ordering(enum.Enum):
     LESS = "less"

@@ -15,7 +15,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from . import codec
-from .core import EMPTY, Config, UpdateCommand, Value
+from .core import EMPTY, PROPOSER_BASE, Config, UpdateCommand, Value
 from .kv import KvFacade, decode_command
 from .messages import (
     Ack,
@@ -33,7 +33,6 @@ from .messages import (
 from .acceptor import Acceptor
 from .proposer import Proposer, Reply, Send, SetTimer
 
-PROPOSER_BASE = 1000
 TICK_SECONDS = 0.05  # wall-clock length of one protocol timer tick
 
 

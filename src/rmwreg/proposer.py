@@ -30,6 +30,7 @@ from .core import (
     Value,
     apply_command,
     next_explicit_round,
+    round_sort_key,
 )
 from .messages import (
     Ack,
@@ -387,12 +388,8 @@ class Proposer:
         """Contention management: retry round-less while the writer makes
         progress, escalate to a write-through once it looks crashed or the
         retry budget is spent."""
-        def _rkey(r: Round):
-            return (r.n, -1 if r.id is None else r.id)
-
-        rounds = tuple(
-            sorted((_rkey(a.r_ack), _rkey(a.r_voted)) for a in req.acks.values())
-        )
+        acks = req.acks.values()
+        rounds = tuple(sorted((round_sort_key(a.r_ack), round_sort_key(a.r_voted)) for a in acks))
         progressed = req.prev_rounds is None or rounds != req.prev_rounds
         if req.retry_count < self.config.read_retry_limit and progressed:
             req.prev_rounds = rounds

@@ -16,93 +16,30 @@ Simulated time is a tick counter; message delay is sampled uniformly from
 from __future__ import annotations
 
 import heapq
-import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import codec
-from .acceptor import Acceptor, AcceptorState
+from .acceptor import Acceptor
 from .checker import HistoryEvent
-from .core import Config, Mode, ProcessId, ReqID, Round, UpdateCommand, Value
-from .messages import ReqKind, Status
+from .core import PROPOSER_BASE, Config, Mode, ProcessId, UpdateCommand, Value
+from .messages import ReqKind
 from .proposer import Proposer, Reply, Send, SetTimer
-
-PROPOSER_BASE = 1000
-
-
-# ---------------------------------------------------------------------------
-# trace events
-
-
-@dataclass(frozen=True)
-class ClientInvokeEv:
-    tick: int
-    client: int
-    op_index: int
-    key: bytes
-    op: ReqKind
-    token: Optional[str]
-
-
-@dataclass(frozen=True)
-class ClientResponseEv:
-    tick: int
-    client: int
-    op_index: int
-    key: bytes
-    status: Status
-    value: Value
-    depth: int
-
-
-@dataclass(frozen=True)
-class SendEv:
-    idx: int
-    tick: int
-    src: ProcessId
-    dst: ProcessId
-    msg: object
-    depth: int
-
-
-@dataclass(frozen=True)
-class DeliverEv:
-    tick: int
-    send_idx: int
-
-
-@dataclass(frozen=True)
-class DropEv:
-    tick: int
-    send_idx: int
-    reason: str  # "loss" | "crashed"
-
-
-@dataclass(frozen=True)
-class DuplicateEv:
-    tick: int
-    send_idx: int
-
-
-@dataclass(frozen=True)
-class CrashEv:
-    tick: int
-    pid: ProcessId
-
-
-@dataclass(frozen=True)
-class RecoverEv:
-    tick: int
-    pid: ProcessId
-
-
-@dataclass(frozen=True)
-class StateSnapshotEv:
-    tick: int
-    pid: ProcessId
-    key: bytes
-    state: AcceptorState
+from .trace import (  # the serializers are re-exported for callers of this module
+    ClientInvokeEv,
+    ClientResponseEv,
+    CrashEv,
+    DeliverEv,
+    DropEv,
+    DuplicateEv,
+    RecoverEv,
+    SendEv,
+    StateSnapshotEv,
+    event_from_record,
+    event_to_record,
+    trace_from_jsonl,
+    trace_to_jsonl,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -434,154 +371,3 @@ def count_message_delays(trace: Sequence[object], client: int, op_index: int) ->
         if isinstance(ev, ClientResponseEv) and ev.client == client and ev.op_index == op_index:
             return ev.depth
     raise ValueError(f"request {client}/{op_index} did not complete in this trace")
-
-
-# ---------------------------------------------------------------------------
-# trace serialization (newline-delimited canonical records)
-
-
-def _value_to_json(v: Value) -> dict:
-    return {"empty": v.empty, "payload": v.payload.hex()}
-
-
-def _value_from_json(d: dict) -> Value:
-    return Value(bytes.fromhex(d["payload"]), d["empty"])
-
-
-def _state_to_json(s: AcceptorState) -> dict:
-    return {
-        "r_ack": [s.r_ack.n, s.r_ack.id],
-        "val": _value_to_json(s.val),
-        "r_voted": [s.r_voted.n, s.r_voted.id],
-        "req": None if s.req is None else [s.req.pid, s.req.seq],
-    }
-
-
-def _state_from_json(d: dict) -> AcceptorState:
-    return AcceptorState(
-        r_ack=Round(*d["r_ack"]),
-        val=_value_from_json(d["val"]),
-        r_voted=Round(*d["r_voted"]),
-        req=None if d["req"] is None else ReqID(*d["req"]),
-    )
-
-
-def event_to_record(ev) -> dict:
-    if isinstance(ev, SendEv):
-        return {
-            "kind": "send",
-            "idx": ev.idx,
-            "tick": ev.tick,
-            "src": ev.src,
-            "dst": ev.dst,
-            "msg": codec.encode(ev.msg).hex(),
-            "depth": ev.depth,
-        }
-    if isinstance(ev, DeliverEv):
-        return {"kind": "deliver", "tick": ev.tick, "send_idx": ev.send_idx}
-    if isinstance(ev, DropEv):
-        return {"kind": "drop", "tick": ev.tick, "send_idx": ev.send_idx, "reason": ev.reason}
-    if isinstance(ev, DuplicateEv):
-        return {"kind": "duplicate", "tick": ev.tick, "send_idx": ev.send_idx}
-    if isinstance(ev, CrashEv):
-        return {"kind": "crash", "tick": ev.tick, "pid": ev.pid}
-    if isinstance(ev, RecoverEv):
-        return {"kind": "recover", "tick": ev.tick, "pid": ev.pid}
-    if isinstance(ev, StateSnapshotEv):
-        return {
-            "kind": "snapshot",
-            "tick": ev.tick,
-            "pid": ev.pid,
-            "key": ev.key.hex(),
-            "state": _state_to_json(ev.state),
-        }
-    if isinstance(ev, ClientInvokeEv):
-        return {
-            "kind": "invoke",
-            "tick": ev.tick,
-            "client": ev.client,
-            "op_index": ev.op_index,
-            "key": ev.key.hex(),
-            "op": ev.op.value,
-            "token": ev.token,
-        }
-    if isinstance(ev, ClientResponseEv):
-        return {
-            "kind": "response",
-            "tick": ev.tick,
-            "client": ev.client,
-            "op_index": ev.op_index,
-            "key": ev.key.hex(),
-            "status": ev.status.value,
-            "value": _value_to_json(ev.value),
-            "depth": ev.depth,
-        }
-    raise TypeError(f"unknown trace event {ev!r}")
-
-
-def event_from_record(rec: dict):
-    kind = rec["kind"]
-    if kind == "send":
-        return SendEv(
-            rec["idx"],
-            rec["tick"],
-            rec["src"],
-            rec["dst"],
-            codec.decode(bytes.fromhex(rec["msg"])),
-            rec["depth"],
-        )
-    if kind == "deliver":
-        return DeliverEv(rec["tick"], rec["send_idx"])
-    if kind == "drop":
-        return DropEv(rec["tick"], rec["send_idx"], rec["reason"])
-    if kind == "duplicate":
-        return DuplicateEv(rec["tick"], rec["send_idx"])
-    if kind == "crash":
-        return CrashEv(rec["tick"], rec["pid"])
-    if kind == "recover":
-        return RecoverEv(rec["tick"], rec["pid"])
-    if kind == "snapshot":
-        return StateSnapshotEv(
-            rec["tick"], rec["pid"], bytes.fromhex(rec["key"]), _state_from_json(rec["state"])
-        )
-    if kind == "invoke":
-        return ClientInvokeEv(
-            rec["tick"],
-            rec["client"],
-            rec["op_index"],
-            bytes.fromhex(rec["key"]),
-            ReqKind(rec["op"]),
-            rec["token"],
-        )
-    if kind == "response":
-        return ClientResponseEv(
-            rec["tick"],
-            rec["client"],
-            rec["op_index"],
-            bytes.fromhex(rec["key"]),
-            Status(rec["status"]),
-            _value_from_json(rec["value"]),
-            rec["depth"],
-        )
-    raise ValueError(f"unknown trace record kind {kind!r}")
-
-
-def trace_to_jsonl(trace: Sequence[object]) -> bytes:
-    lines = [
-        json.dumps(event_to_record(ev), sort_keys=True, separators=(",", ":"))
-        for ev in trace
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def trace_from_jsonl(data: bytes) -> List[object]:
-    events = []
-    offset = 0
-    for line in data.splitlines():
-        if line.strip():
-            try:
-                events.append(event_from_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ValueError(f"corrupt trace at byte offset {offset}: {exc}") from exc
-        offset += len(line) + 1
-    return events

@@ -103,6 +103,43 @@ def test_trailing_bytes_raise(msg, junk):
         codec.decode(codec.encode(msg) + junk)
 
 
+@given(messages, st.data())
+def test_mutated_encoding_is_rejected_or_canonical(msg, data):
+    blob = bytearray(codec.encode(msg))
+    pos = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+    blob[pos] = data.draw(st.integers(min_value=0, max_value=255))
+    try:
+        decoded = codec.decode(bytes(blob))
+    except codec.CodecError:
+        return
+    assert codec.encode(decoded) == bytes(blob)
+
+
+def _set_byte(msg, offset, byte):
+    blob = bytearray(codec.encode(msg))
+    blob[offset] = byte
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(_set_byte(Prepare(b"k", 7, ReqKind.WRITE, Ticket(1, 2)), 1 + 4 + 1 + 8, 2),
+                 id="Prepare.kind"),
+    pytest.param(_set_byte(ClientRequest(b"k", ReqKind.READ, b"", 0), 1 + 4 + 1, 0xFF),
+                 id="ClientRequest.kind"),
+    pytest.param(_set_byte(ClientReply(Status.DONE, EMPTY, 0), 1, 6), id="ClientReply.status"),
+    pytest.param(_set_byte(PaxosPrep(b"", 1, Round(3, 1), Ticket(0, 0)), 1 + 4 + 8 + 4, 5),
+                 id="PaxosPrep.round.id-flag"),
+    pytest.param(_set_byte(Ack(b"", 1, Ticket(0, 0), ROUND_ZERO, EMPTY, ROUND_ZERO, None, True),
+                           -1, 9), id="Ack.incremented"),
+    pytest.param(_set_byte(Learned(b"", 1, ReqID(1, 2)), 1 + 4 + 8, 2), id="Learned.req-flag"),
+    pytest.param(_set_byte(Voted(b"", 1, Ticket(0, 0), ROUND_ZERO, EMPTY), -5, 3),
+                 id="Voted.value.empty"),
+])
+def test_bad_enum_and_flag_bytes_raise_codec_error(blob):
+    with pytest.raises(codec.CodecError):
+        codec.decode(blob)
+
+
 def test_unknown_tag():
     with pytest.raises(codec.CodecError):
         codec.decode(b"\xff")

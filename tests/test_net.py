@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import pytest
@@ -84,3 +85,25 @@ def test_malformed_command_gets_error_reply(group):
     assert isinstance(reply, ClientReply)
     assert reply.status is Status.ERROR
     sock.close()
+
+
+def test_bad_enum_frame_closes_only_that_connection(group, monkeypatch):
+    from rmwreg import codec
+    from rmwreg.messages import ClientRequest, ReqKind
+
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    addrs, replicas = group
+    blob = bytearray(codec.frame(ClientRequest(b"k", ReqKind.READ, b"", 0)))
+    blob[4 + 1 + 4 + 1] = 7  # frame length, tag, key length, key: then the kind byte
+    sock = socket.create_connection(addrs[0], timeout=5)
+    sock.sendall(bytes(blob))
+    assert codec.read_frame(sock) is None  # the replica hung up
+    sock.close()
+    for t in replicas[0].threads[2:]:  # the reader threads, after accept and work
+        t.join(timeout=5)
+        assert not t.is_alive()
+    assert crashes == []
+    client = NetClient(addrs[0])
+    assert client.facade(Mode.RMW).put(b"k", 3) == 3
+    client.close()
