@@ -175,3 +175,27 @@ def test_golden_trace_digest():
             res = run_workload(Config(n_acceptors=n, register_mode=mode), sim, scripts)
             digest.update(trace_to_jsonl(res.trace))
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
+
+
+# sha256 over trace_to_jsonl for the storm worlds in test_golden_storm_digest.
+GOLDEN_STORM_SHA256 = "709f13c1835ea4768b224e75b072e5a69a779b8a5c02e692d3bd5e511479b630"
+
+
+def test_golden_storm_digest():
+    """One appending writer and 64 readers on one key, so hundreds of events
+    fall due on the same tick and each pick chooses among many. The lossy arm
+    lets duplicate deliveries land in those crowded ticks."""
+    config = Config(n_acceptors=3, register_mode=Mode.SEQUENCE, read_retry_limit=2)
+    scripts = [script(0, (W,), loop_until=60)]
+    scripts += [script(c, (R,), loop_until=60) for c in range(1, 65)]
+    arms = (
+        dict(seed=0, fifo=True),
+        dict(seed=1, fifo=True),
+        dict(seed=0, fifo=False, drop=0.05, dup=0.05),
+    )
+    digest = hashlib.sha256()
+    for links in arms:
+        res = run_workload(config, SimConfig(max_delay=5, **links), scripts)
+        assert res.quiescent
+        digest.update(trace_to_jsonl(res.trace))
+    assert digest.hexdigest() == GOLDEN_STORM_SHA256
