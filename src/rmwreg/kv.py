@@ -254,19 +254,15 @@ class SimDriver:
 
         self._ResponseEv = ClientResponseEv
         pid = PROPOSER_BASE if proposer_pid is None else proposer_pid
-        self.pid = pid
         self.world = World(config, sim_config, [ClientScript(client=0, proposer=pid, ops=())])
         self.seq = 0
 
     def submit(self, key: bytes, kind: ReqKind, cmd: Optional[UpdateCommand]):
         world = self.world
-        cs = world.clients[0]
         seq = self.seq
         self.seq += 1
-        cs.ops_meta[seq] = (key, kind, None)
         scan = len(world.trace)  # replies can be emitted synchronously
-        effects = world.proposers[self.pid].submit(key, kind, cmd, 0, seq)
-        world._apply_proposer_effects(self.pid, effects, depth=0)
+        world.submit(0, key, kind, cmd, seq)
         while True:
             while scan < len(world.trace):
                 ev = world.trace[scan]

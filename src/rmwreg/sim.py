@@ -129,10 +129,10 @@ class World:
         self.histories: Dict[bytes, List[HistoryEvent]] = {}
         self.clients = {s.client: _ClientState(s) for s in scripts}
         self.send_count = 0
-        self.seq = 0
         self.tick = 0
         self.steps = 0
-        self.heap: List[tuple] = []
+        self.due_ticks: List[int] = []  # heap of the ticks that have a bucket
+        self.buckets: Dict[int, List[tuple]] = {}  # tick -> entries in push order
         self.fifo_last: Dict[Tuple[ProcessId, ProcessId], int] = {}
         for script in scripts:
             self._push(script.start_tick, ("invoke", script.client))
@@ -142,20 +142,28 @@ class World:
     # -- scheduling ----------------------------------------------------------
 
     def _push(self, tick: int, entry: tuple) -> None:
-        heapq.heappush(self.heap, (tick, self.seq, entry))
-        self.seq += 1
+        bucket = self.buckets.get(tick)
+        if bucket is None:
+            self.buckets[tick] = [entry]
+            heapq.heappush(self.due_ticks, tick)
+        else:
+            bucket.append(entry)
 
     def _pop_random(self) -> Tuple[int, tuple]:
-        """Pop one event uniformly at random among those due earliest."""
-        tick = self.heap[0][0]
-        bucket = []
-        while self.heap and self.heap[0][0] == tick:
-            bucket.append(heapq.heappop(self.heap))
-        pick = self.rng.randrange(len(bucket))
-        chosen = bucket.pop(pick)
-        for item in bucket:
-            heapq.heappush(self.heap, item)
-        return tick, chosen[2]
+        """Pop one event uniformly at random among those due earliest.
+
+        Once the world runs, no push is due earlier than the current tick, so
+        the earliest bucket only grows at its tail and every bucket keeps its
+        entries in push order. The pick is an index into that order: for one
+        seed the same pushes give the same picks, hence the same trace.
+        """
+        tick = self.due_ticks[0]
+        bucket = self.buckets[tick]
+        entry = bucket.pop(self.rng.randrange(len(bucket)))
+        if not bucket:
+            heapq.heappop(self.due_ticks)
+            del self.buckets[tick]
+        return tick, entry
 
     def _schedule_send(self, src: ProcessId, dst: ProcessId, msg, depth: int) -> None:
         idx = self.send_count
@@ -242,7 +250,6 @@ class World:
         if spec.kind is ReqKind.WRITE and spec.make_cmd is not None:
             token = f"{client}.{op_index}"
             cmd = spec.make_cmd(token)
-        cs.ops_meta[op_index] = (script.key, spec.kind, token)
         self.trace.append(
             ClientInvokeEv(self.tick, client, op_index, script.key, spec.kind, token)
         )
@@ -260,9 +267,20 @@ class World:
         )
         if script.proposer in self.down:
             return  # request never admitted; the op stays incomplete
-        proposer = self.proposers[script.proposer]
-        effects = proposer.submit(script.key, spec.kind, cmd, client, op_index)
-        self._apply_proposer_effects(script.proposer, effects, depth=0)
+        self.submit(client, script.key, spec.kind, cmd, op_index, token)
+
+    def submit(self, client: int, key: bytes, kind: ReqKind, cmd: Optional[UpdateCommand],
+               op_index: int, token: Optional[str] = None) -> None:
+        """Hand one request to `client`'s proposer and schedule its effects.
+
+        Records the op so that its reply is traced and added to the key's
+        history. Emits no invoke event: a scripted op traces its own first.
+        """
+        cs = self.clients[client]
+        cs.ops_meta[op_index] = (key, kind, token)
+        pid = cs.script.proposer
+        effects = self.proposers[pid].submit(key, kind, cmd, client, op_index)
+        self._apply_proposer_effects(pid, effects, depth=0)
 
     def _deliver(self, idx: int, msg, src: ProcessId, dst: ProcessId, depth: int) -> None:
         if dst in self.down:
@@ -287,7 +305,7 @@ class World:
 
     def step(self) -> bool:
         """Process one pending event; False when nothing is pending."""
-        if not self.heap:
+        if not self.due_ticks:
             return False
         tick, entry = self._pop_random()
         self.tick = tick
@@ -319,7 +337,7 @@ class World:
 
     def run(self) -> bool:
         """Run to quiescence; False when the step budget ran out first."""
-        while self.heap:
+        while self.due_ticks:
             if self.steps >= self.sim.max_steps:
                 return False
             self.step()

@@ -233,10 +233,7 @@ def test_criterion_8_counter_converges_exactly():
 
     # quiescent world: issue one final read through an existing proposer
     world = res.world
-    cs = world.clients[0]
-    cs.ops_meta[100] = (b"r", ReqKind.READ, None)
-    effects = world.proposers[PROPOSER_BASE].submit(b"r", ReqKind.READ, None, 0, 100)
-    world._apply_proposer_effects(PROPOSER_BASE, effects, depth=0)
+    world.submit(0, b"r", ReqKind.READ, None, 100)
     world.run()
     final = [ev for ev in world.trace
              if isinstance(ev, ClientResponseEv) and ev.client == 0 and ev.op_index == 100]
