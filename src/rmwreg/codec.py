@@ -209,6 +209,18 @@ def frame(msg) -> bytes:
     return U32.put(len(body)) + body
 
 
+def unframe(buf: bytearray):
+    """Yield the message in each complete frame at the front of `buf`,
+    deleting the frame's bytes before it is decoded; a partial frame stays."""
+    while len(buf) >= 4:
+        end = 4 + U32.take(buf, 0)[0]
+        if len(buf) < end:
+            return
+        body = bytes(buf[4:end])
+        del buf[:end]
+        yield decode(body)
+
+
 def read_frame(sock):
     """Read one framed message from a socket; None on clean EOF."""
     header = _read_exact(sock, 4)

@@ -162,7 +162,8 @@ class Proposer:
         self.pid = pid
         self.config = config
         self.rng = rng or random.Random(pid)
-        self.requests: Dict[int, Request] = {}
+        self.requests: Dict[int, Request] = {}  # open requests; done ones are evicted
+        self.open_writes: Dict[ReqID, Request] = {}  # open RMW writes by ReqID
         self.next_rid = 0
         self.next_seq = 0  # ReqID counter; never reused, survives recovery
         self.fast: Dict[bytes, FastToken] = {}
@@ -214,6 +215,7 @@ class Proposer:
         if kind is ReqKind.WRITE and self.config.register_mode is Mode.RMW:
             req.reqid = ReqID(self.pid, self.next_seq)
             self.next_seq += 1
+            self.open_writes[req.reqid] = req
         self.requests[rid] = req
         return req
 
@@ -272,7 +274,7 @@ class Proposer:
 
     def on_ack(self, ack: Ack) -> List[Effect]:
         req = self.requests.get(ack.ticket.request)
-        if req is None or req.done:
+        if req is None:
             return []
         if req.read_origin:
             req.pool.append(ack)
@@ -291,7 +293,7 @@ class Proposer:
 
     def on_nack(self, nack: Nack) -> List[Effect]:
         req = self.requests.get(nack.ticket.request)
-        if req is None or req.done or nack.ticket.instance != req.instance:
+        if req is None or nack.ticket.instance != req.instance:
             return []
         # Foreign round evidence: any outstanding fast-write grant is stale.
         self.fast.pop(nack.key, None)
@@ -304,7 +306,6 @@ class Proposer:
         req = self.requests.get(voted.ticket.request)
         if (
             req is None
-            or req.done
             or req.phase != "p2"
             or voted.ticket.instance != req.instance
             or req.proposal is None
@@ -322,7 +323,7 @@ class Proposer:
         # Only record the fact. LEARNED does not say which of this request's
         # proposals was chosen, so the reply value has to come from a later
         # quorum view; the dedup checks finish the request from there.
-        if any(not r.done and r.reqid == learned.req for r in self.requests.values()):
+        if learned.req in self.open_writes:
             self.learned[learned.req] = True
         return []
 
@@ -337,12 +338,9 @@ class Proposer:
         self.fast.clear()
         if self.config.register_mode is not Mode.RMW:
             return []
-        for req in self.requests.values():
-            if req.done or not req.proposed or req.kind is ReqKind.READ:
-                continue
-            req.phase = "done"
-            if req.reqid is not None:
-                self.learned.pop(req.reqid, None)
+        for req in list(self.open_writes.values()):
+            if req.proposed:
+                self._evict(req)
         return []
 
     def on_timer(self, token: tuple) -> List[Effect]:
@@ -350,7 +348,7 @@ class Proposer:
             return self._flush_batches()
         kind, rid, instance = token
         req = self.requests.get(rid)
-        if req is None or req.done or req.instance != instance:
+        if req is None or req.instance != instance:
             return []
         if kind == "retry":
             # Backoff expired; run the deferred explicit-round phase 1.
@@ -588,9 +586,16 @@ class Proposer:
         return effects
 
     def _complete(self, req: Request) -> None:
-        req.phase = "done"
         self.stats.completed += 1
+        self._evict(req)
+
+    def _evict(self, req: Request) -> None:
+        # Late replies, timers and LEARNED notices for an evicted request
+        # find nothing and are ignored.
+        req.phase = "done"
+        self.requests.pop(req.rid, None)
         if req.reqid is not None:
+            self.open_writes.pop(req.reqid, None)
             # LEARNED only matters while its request may still retry.
             self.learned.pop(req.reqid, None)
 

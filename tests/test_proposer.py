@@ -8,7 +8,7 @@ from rmwreg.acceptor import Acceptor
 from rmwreg.core import EMPTY, Config, FnCommand, Mode, Round, Value
 from rmwreg.kv import AddCmd, SetCmd, append_token
 from rmwreg.core import ReqID
-from rmwreg.messages import Learned, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote
+from rmwreg.messages import Ack, Learned, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote, Voted
 from rmwreg.proposer import Proposer, Reply, Send, SetTimer
 
 
@@ -248,3 +248,49 @@ def test_exactly_once_dedup_via_learned():
     assert net.replies[-1].status is Status.DONE
     final = net.replies[-1].value
     assert final == Value(b'["a","b"]')  # applied once, not twice
+
+
+def test_finished_requests_are_evicted():
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
+    net.submit(b"k", ReqKind.WRITE, appender("a"), seq=0)
+    net.submit(b"k", ReqKind.READ, seq=1)
+    assert [r.status for r in net.replies] == [Status.DONE, Status.DONE]
+    assert net.proposer.requests == {}
+    assert net.proposer.open_writes == {}
+    assert net.proposer.learned == {}
+
+
+def test_late_messages_for_an_evicted_request_do_nothing():
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
+    net.submit(b"k", ReqKind.WRITE, appender("a"), seq=0)
+    net.submit(b"k", ReqKind.WRITE, appender("b"), seq=1)
+    assert net.proposer.requests == {}
+    to_proposer = [s.msg for s in net.sent if s.dst == net.proposer.pid]
+    assert {type(m) for m in to_proposer} >= {Ack, Voted}
+    for msg in to_proposer + [Learned(b"k", 0, ReqID(net.proposer.pid, 0)),
+                              Learned(b"k", 1, ReqID(net.proposer.pid, 1))]:
+        assert net.proposer.on_message(msg) == []
+    for timer in net.timers:
+        assert net.proposer.on_timer(timer.token) == []
+    assert net.proposer.learned == {}
+
+
+def test_write_abandoned_on_recover_is_evicted():
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, appender("a"), 0, 0))
+    while net.queue and not isinstance(net.queue[0].msg, Vote):  # phase 1 only
+        eff = net.queue.popleft()
+        if eff.dst in net.acceptors:
+            for dst, out in net.acceptors[eff.dst].handle(eff.msg):
+                net._absorb([Send(dst, out)])
+        else:
+            net._absorb(net.proposer.on_message(eff.msg))
+    assert net.queue and net.proposer.requests[0].proposed
+    net.queue.clear()  # the votes are lost in the crash
+    assert net.proposer.on_recover() == []
+    assert net.proposer.requests == {}
+    assert net.proposer.open_writes == {}
+    assert net.proposer.on_message(Learned(b"k", 0, ReqID(net.proposer.pid, 0))) == []
+    assert net.proposer.learned == {}
+    net.fire_timers()
+    assert net.replies == [] and net.queue == deque()
