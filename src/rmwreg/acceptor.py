@@ -11,7 +11,7 @@ promise so proposers can retry without waiting for a timeout.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -76,18 +76,15 @@ class Acceptor:
     # -- message handling ---------------------------------------------------
 
     def handle(self, msg) -> List[Send]:
-        if isinstance(msg, Prepare):
-            return self.handle_prepare(msg)
-        if isinstance(msg, PaxosPrep):
-            return self.handle_prepare_explicit(msg)
-        if isinstance(msg, Vote):
-            return self.handle_vote(msg)
-        return []
+        handler = _HANDLERS.get(type(msg))
+        return handler(self, msg) if handler is not None else []
 
     def handle_prepare(self, msg: Prepare) -> List[Send]:
         state = self.cell(msg.key)
         if msg.kind is ReqKind.WRITE:
-            state = replace(state, r_ack=Round(state.r_ack.n + 1, msg.src))
+            state = AcceptorState(
+                Round(state.r_ack.n + 1, msg.src), state.val, state.r_voted, state.req
+            )
             self.cells[msg.key] = state
             incremented = True
         else:
@@ -99,7 +96,7 @@ class Acceptor:
     def handle_prepare_explicit(self, msg: PaxosPrep) -> List[Send]:
         state = self.cell(msg.key)
         if round_compare(state.r_ack, msg.round) is Ordering.LESS:
-            state = replace(state, r_ack=msg.round)
+            state = AcceptorState(msg.round, state.val, state.r_voted, state.req)
             self.cells[msg.key] = state
             return [(msg.src, self._ack(msg.key, msg.ticket, state, True))]
         # Incomparable rounds are rejected too: acknowledging them would
@@ -144,3 +141,11 @@ class Acceptor:
             req=state.req,
             incremented=incremented,
         )
+
+
+# message type -> the Acceptor method that handles it; other types are ignored
+_HANDLERS = {
+    Prepare: Acceptor.handle_prepare,
+    PaxosPrep: Acceptor.handle_prepare_explicit,
+    Vote: Acceptor.handle_vote,
+}

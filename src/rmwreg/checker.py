@@ -382,10 +382,15 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
 
     # P2 per epoch; the epoch of a proposal is the length of its update
     # sequence. Only the append-log payload exposes epochs, so other
-    # payloads are left to the history-level checks.
+    # payloads are left to the history-level checks. Each value's payload is
+    # decoded once.
+    epochs: Dict[Value, Optional[int]] = {}
+
     def epoch(value) -> Optional[int]:
-        seq = sequence_of(value)
-        return len(seq) if seq is not None else None
+        if value not in epochs:
+            seq = sequence_of(value)
+            epochs[value] = len(seq) if seq is not None else None
+        return epochs[value]
 
     by_epoch: Dict[tuple, List[tuple]] = {}
     for (key, rnd, value, req), at in proposals.items():

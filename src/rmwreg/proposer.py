@@ -172,14 +172,9 @@ class Proposer:
         self.batch_writes: Dict[bytes, List[Tuple[UpdateCommand, object, int]]] = {}
         self.batch_timer_armed = False
         self.stats = ProposerStats()
+        self.quorum = 1 if MUT_SUB_QUORUM in config.mutations else quorum_size(config.n_acceptors)
 
     # -- configuration helpers ----------------------------------------------
-
-    @property
-    def quorum(self) -> int:
-        if MUT_SUB_QUORUM in self.config.mutations:
-            return 1
-        return quorum_size(self.config.n_acceptors)
 
     def _acceptors(self) -> range:
         # Acceptors are addressed 0..N-1 by convention; the transport maps
@@ -262,15 +257,8 @@ class Proposer:
     # -- message handling -----------------------------------------------------
 
     def on_message(self, msg) -> List[Effect]:
-        if isinstance(msg, Ack):
-            return self.on_ack(msg)
-        if isinstance(msg, Voted):
-            return self.on_voted(msg)
-        if isinstance(msg, Nack):
-            return self.on_nack(msg)
-        if isinstance(msg, Learned):
-            return self.on_learned(msg)
-        return []
+        handler = _HANDLERS.get(type(msg))
+        return handler(self, msg) if handler is not None else []
 
     def on_ack(self, ack: Ack) -> List[Effect]:
         req = self.requests.get(ack.ticket.request)
@@ -628,3 +616,12 @@ class Proposer:
         else:
             self.batch_timer_armed = False
         return effects
+
+
+# message type -> the Proposer method that handles it; other types are ignored
+_HANDLERS = {
+    Ack: Proposer.on_ack,
+    Voted: Proposer.on_voted,
+    Nack: Proposer.on_nack,
+    Learned: Proposer.on_learned,
+}

@@ -12,6 +12,10 @@ mandatory for RMW mode.
 
 Simulated time is a tick counter; message delay is sampled uniformly from
 [1, max_delay] ticks.
+
+Picks and delays are drawn by `World._below`, `randrange` rebuilt on
+`getrandbits`: it takes the same bits, so a seed gives the trace that
+`randrange`/`randint` calls would.
 """
 from __future__ import annotations
 
@@ -114,9 +118,12 @@ class World:
     def __init__(self, config: Config, sim: SimConfig, scripts: Sequence[ClientScript]):
         if config.register_mode is Mode.RMW and not sim.fifo:
             raise ValueError("RMW mode requires reliable FIFO links")
+        if sim.max_delay < 1:
+            raise ValueError(f"max_delay must be at least 1 tick, got {sim.max_delay}")
         self.config = config
         self.sim = sim
         self.rng = random.Random(sim.seed)
+        self._getrandbits = self.rng.getrandbits
         self.acceptors = {pid: Acceptor(pid, config) for pid in range(config.n_acceptors)}
         self.proposers: Dict[ProcessId, Proposer] = {}
         for script in scripts:
@@ -149,6 +156,21 @@ class World:
         else:
             bucket.append(entry)
 
+    def _below(self, n: int) -> int:
+        """`rng.randrange(n)` for n >= 1 without its argument checks, taking
+        the same bits: `random.Random._randbelow`'s rejection loop.
+
+        n == 1 still draws, as `randrange(1)` does; skipping that draw would
+        shift every later one. n < 1 would loop forever, which is why
+        `World` rejects `max_delay < 1`.
+        """
+        getrandbits = self._getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     def _pop_random(self) -> Tuple[int, tuple]:
         """Pop one event uniformly at random among those due earliest.
 
@@ -159,7 +181,7 @@ class World:
         """
         tick = self.due_ticks[0]
         bucket = self.buckets[tick]
-        entry = bucket.pop(self.rng.randrange(len(bucket)))
+        entry = bucket.pop(self._below(len(bucket)))
         if not bucket:
             heapq.heappop(self.due_ticks)
             del self.buckets[tick]
@@ -168,33 +190,36 @@ class World:
     def _schedule_send(self, src: ProcessId, dst: ProcessId, msg, depth: int) -> None:
         idx = self.send_count
         self.send_count += 1
-        self.trace.append(SendEv(idx, self.tick, src, dst, msg, depth))
-        if self.sim.fifo:
-            due = self.tick + self.rng.randint(1, self.sim.max_delay)
+        tick = self.tick
+        sim = self.sim
+        self.trace.append(SendEv(idx, tick, src, dst, msg, depth))
+        entry = ("deliver", idx, msg, src, dst, depth)
+        if sim.fifo:
+            due = tick + 1 + self._below(sim.max_delay)
             last = self.fifo_last.get((src, dst), 0)
-            due = max(due, last + 1)  # strict per-pair order
+            if due <= last:
+                due = last + 1  # strict per-pair order
             self.fifo_last[(src, dst)] = due
-            self._push(due, ("deliver", idx, msg, src, dst, depth))
+            self._push(due, entry)
             return
-        if self.rng.random() < self.sim.drop:
-            self.trace.append(DropEv(self.tick, idx, "loss"))
+        if self.rng.random() < sim.drop:
+            self.trace.append(DropEv(tick, idx, "loss"))
             return
-        due = self.tick + self.rng.randint(1, self.sim.max_delay)
-        self._push(due, ("deliver", idx, msg, src, dst, depth))
-        if self.rng.random() < self.sim.dup:
-            self.trace.append(DuplicateEv(self.tick, idx))
-            dup_due = self.tick + self.rng.randint(1, self.sim.max_delay)
-            self._push(dup_due, ("deliver", idx, msg, src, dst, depth))
+        self._push(tick + 1 + self._below(sim.max_delay), entry)
+        if self.rng.random() < sim.dup:
+            self.trace.append(DuplicateEv(tick, idx))
+            self._push(tick + 1 + self._below(sim.max_delay), entry)
 
     # -- effect processing ----------------------------------------------------
 
     def _apply_proposer_effects(self, pid: ProcessId, effects, depth: int) -> None:
         for eff in effects:
-            if isinstance(eff, Send):
+            kind = type(eff)
+            if kind is Send:
                 self._schedule_send(pid, eff.dst, eff.msg, depth + 1)
-            elif isinstance(eff, SetTimer):
+            elif kind is SetTimer:
                 self._push(self.tick + eff.delay, ("timer", pid, eff.token))
-            elif isinstance(eff, Reply):
+            elif kind is Reply:
                 self._client_response(eff, depth)
             else:
                 raise TypeError(f"unknown effect {eff!r}")
@@ -292,7 +317,9 @@ class World:
             before = acceptor.cell(msg.key)
             outs = acceptor.handle(msg)
             after = acceptor.cell(msg.key)
-            if after != before:
+            # Most messages leave the cell object in place; only a new one
+            # needs the field-by-field comparison.
+            if after is not before and after != before:
                 self.trace.append(StateSnapshotEv(self.tick, dst, msg.key, after))
             for target, out in outs:
                 self._schedule_send(dst, target, out, depth + 1)

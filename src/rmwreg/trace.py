@@ -16,7 +16,7 @@ from .core import ProcessId, Value
 from .messages import ReqKind, Status
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientInvokeEv:
     tick: int
     client: int
@@ -26,7 +26,7 @@ class ClientInvokeEv:
     token: Optional[str]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientResponseEv:
     tick: int
     client: int
@@ -37,7 +37,7 @@ class ClientResponseEv:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendEv:
     idx: int
     tick: int
@@ -47,38 +47,38 @@ class SendEv:
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeliverEv:
     tick: int
     send_idx: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DropEv:
     tick: int
     send_idx: int
     reason: str  # "loss" | "crashed"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DuplicateEv:
     tick: int
     send_idx: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CrashEv:
     tick: int
     pid: ProcessId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecoverEv:
     tick: int
     pid: ProcessId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateSnapshotEv:
     tick: int
     pid: ProcessId

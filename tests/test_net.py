@@ -53,30 +53,43 @@ def test_put_get_round_trip(group):
 
 def test_any_replica_serves_requests(group):
     addrs, _ = group
-    writer = NetClient(addrs[0]).facade(Mode.RMW)
-    writer.put(b"k", 10)
+    writer = NetClient(addrs[0])
+    try:
+        writer.facade(Mode.RMW).put(b"k", 10)
+    finally:
+        writer.close()
     for i in (1, 2):
         reader = NetClient(addrs[i])
-        assert reader.facade(Mode.RMW).get(b"k") == 10
-        reader.close()
+        try:
+            assert reader.facade(Mode.RMW).get(b"k") == 10
+        finally:
+            reader.close()
 
 
 def test_updates_apply_exactly_once_sequentially(group):
     addrs, _ = group
-    f = NetClient(addrs[1]).facade(Mode.RMW)
-    for i in range(10):
-        f.update(b"log", kv.AppendCmd(f"t{i}"))
-    assert f.get(b"log") == [f"t{i}" for i in range(10)]
+    client = NetClient(addrs[1])
+    try:
+        f = client.facade(Mode.RMW)
+        for i in range(10):
+            f.update(b"log", kv.AppendCmd(f"t{i}"))
+        assert f.get(b"log") == [f"t{i}" for i in range(10)]
+    finally:
+        client.close()
 
 
 def test_kill_one_replica_operations_continue(group):
     addrs, replicas = group
-    f = NetClient(addrs[0]).facade(Mode.RMW)
-    f.put(b"k", 1)
-    replicas[2].stop()
-    time.sleep(0.1)
-    assert f.update(b"k", kv.AddCmd(1)) == ("done", 2)
-    assert f.get(b"k") == 2
+    client = NetClient(addrs[0])
+    try:
+        f = client.facade(Mode.RMW)
+        f.put(b"k", 1)
+        replicas[2].stop()
+        time.sleep(0.1)
+        assert f.update(b"k", kv.AddCmd(1)) == ("done", 2)
+        assert f.get(b"k") == 2
+    finally:
+        client.close()
 
 
 def test_mismatched_group_size_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -41,6 +42,31 @@ def test_rmw_requires_fifo():
     with pytest.raises(ValueError):
         World(Config(n_acceptors=3, register_mode=Mode.RMW),
               SimConfig(seed=0, fifo=False), [script(0, (W,))])
+
+
+def test_max_delay_below_one_rejected():
+    cfg = Config(n_acceptors=3, register_mode=Mode.SEQUENCE)
+    for max_delay in (0, -1):
+        with pytest.raises(ValueError):
+            World(cfg, SimConfig(seed=0, max_delay=max_delay), [script(0, (W,))])
+
+
+def test_below_draws_the_randrange_stream():
+    """`World._below` must reproduce `randrange` draw for draw, and
+    `1 + _below(d)` must equal `randint(1, d)`, with `random()` calls
+    interleaved: this is why the golden digests survive the helper."""
+    cfg = Config(n_acceptors=3, register_mode=Mode.SEQUENCE)
+    for seed in range(4):
+        world = World(cfg, SimConfig(seed=seed), [])
+        ref = random.Random(seed)
+        for i in range(3000):
+            for n in (1, 2, 3, 5, 8, 10, 64, 96, 1000):
+                assert world._below(n) == ref.randrange(n)
+            for d in (1, 5, 10):
+                assert 1 + world._below(d) == ref.randint(1, d)
+            if i % 3 == 0:
+                assert world.rng.random() == ref.random()
+        assert world.rng.getstate() == ref.getstate()
 
 
 def test_identical_seed_gives_identical_trace():
