@@ -34,9 +34,8 @@ from .sim import (
     StateSnapshotEv,
     random_crash_plan,
     run_workload,
-    trace_from_jsonl,
-    trace_to_jsonl,
 )
+from .trace import read_trace, write_trace
 
 DEFAULT_KEY = b"r"
 
@@ -188,7 +187,8 @@ def cmd_fuzz(args) -> int:
         if not verdict.ok and first_counterexample is None and args.trace_out:
             path = Path(args.trace_out)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(trace_to_jsonl(result.trace))
+            with path.open("wb") as fp:
+                write_trace(result.trace, fp)
             first_counterexample = str(path)
 
     failing = {s: v for s, v in verdicts.items() if not v.ok}
@@ -239,8 +239,8 @@ def _fmt_value(v: Value) -> str:
 
 def cmd_replay(args) -> int:
     try:
-        data = Path(args.trace).read_bytes()
-        trace = trace_from_jsonl(data)
+        with open(args.trace, "rb") as fp:
+            trace = read_trace(fp)
     except (OSError, ValueError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,22 @@
 `EVENTS` is the only place an event's record form is stated. Its fields
 use the codec's field kinds, so a message inside a `send` record is its
 canonical encoding in hex.
+
+A trace file holds one JSON record per line, with sorted keys and no
+spaces, and every line ends in `\n`. Reading also accepts `\r\n` line
+ends and skips blank lines. A record that does not parse is reported by
+the offset of its line in bytes from the start of the file.
+
+Writing and reading stream: `write_trace` writes each record as soon as
+it is encoded, and `read_trace` parses the file one line at a time, so
+neither holds the whole text besides the events.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+from typing import BinaryIO, Iterable, List, Optional, Sequence
 
 from . import codec
 from .acceptor import AcceptorState
@@ -130,22 +140,39 @@ def event_from_record(rec: dict):
     return kind.from_json(rec)
 
 
-def trace_to_jsonl(trace: Sequence[object]) -> bytes:
-    lines = [
-        json.dumps(event_to_record(ev), sort_keys=True, separators=(",", ":"))
-        for ev in trace
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+# json.dumps with these arguments would build a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def trace_from_jsonl(data: bytes) -> List[object]:
+def write_trace(trace: Iterable[object], fp: BinaryIO) -> None:
+    """Writes `trace` to the binary file `fp`, one record per line."""
+    encode = _ENCODER.encode
+    for ev in trace:
+        fp.write((encode(event_to_record(ev)) + "\n").encode())
+
+
+def read_trace(fp: BinaryIO) -> List[object]:
+    """Parses every record of the binary file `fp`; raises ValueError with
+    the byte offset of the first line that is not a valid record."""
     events = []
     offset = 0
-    for line in data.splitlines():
+    for line in fp:
         if line.strip():
             try:
                 events.append(event_from_record(json.loads(line)))
             except (KeyError, TypeError, ValueError, codec.CodecError) as exc:
                 raise ValueError(f"corrupt trace at byte offset {offset}: {exc}") from exc
-        offset += len(line) + 1
+        offset += len(line)
     return events
+
+
+def trace_to_jsonl(trace: Sequence[object]) -> bytes:
+    """The bytes `write_trace` writes for `trace`."""
+    buf = io.BytesIO()
+    write_trace(trace, buf)
+    return buf.getvalue()
+
+
+def trace_from_jsonl(data: bytes) -> List[object]:
+    """`read_trace` over the bytes `data`."""
+    return read_trace(io.BytesIO(data))

@@ -104,19 +104,25 @@ def test_replay_corrupt_trace_reports_offset(tmp_path, capsys):
     assert "offset" in err
 
 
-@pytest.mark.parametrize("bad_line", [
+BAD_RECORDS = (
     b'{"depth":0,"dst":0,"idx":0,"kind":"send","msg":"ff","src":1000,"tick":0}',
     b"[1,2]",
     b'{"kind":"deliver","send_idx":[1],"tick":0}',
+)
+
+
+@pytest.mark.parametrize("bad_line, sep", [
+    *(pytest.param(bad, b"\n", id=bad.decode()) for bad in BAD_RECORDS),
+    *(pytest.param(bad, b"\r\n", id=bad.decode() + "-crlf") for bad in BAD_RECORDS),
 ])
-def test_replay_malformed_record_reports_offset(tmp_path, capsys, bad_line):
+def test_replay_malformed_record_reports_offset(tmp_path, capsys, bad_line, sep):
     from rmwreg.cli import default_scripts
     res = run_workload(Config(n_acceptors=3, register_mode=Mode.RMW),
                        SimConfig(seed=3, fifo=True), default_scripts(Mode.RMW, n_clients=1))
-    data = trace_to_jsonl(res.trace)
-    cut = data.index(b"\n", len(data) // 2) + 1
+    data = trace_to_jsonl(res.trace).replace(b"\n", sep)
+    cut = data.index(sep, len(data) // 2) + len(sep)
     path = tmp_path / "bad.jsonl"
-    path.write_bytes(data[:cut] + bad_line + b"\n" + data[cut:])
+    path.write_bytes(data[:cut] + bad_line + sep + data[cut:])
     rc = main(["replay", str(path)])
     assert rc == 2
     err = capsys.readouterr().err

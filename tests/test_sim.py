@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from rmwreg.sim import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from rmwreg.trace import read_trace, write_trace
 
 
 # sha256 over trace_to_jsonl for the seed set in test_golden_trace_digest.
@@ -92,6 +94,7 @@ def test_trace_serialization_round_trip():
     res = run_workload(cfg, SimConfig(seed=5, fifo=True), [script(0, (W, R))])
     data = trace_to_jsonl(res.trace)
     assert trace_from_jsonl(data) == res.trace
+    assert trace_from_jsonl(data.replace(b"\n", b"\r\n")) == res.trace
     with pytest.raises(ValueError):
         trace_from_jsonl(b'{"kind": "nonsense"}\n')
 
@@ -225,3 +228,29 @@ def test_golden_storm_digest():
         assert res.quiescent
         digest.update(trace_to_jsonl(res.trace))
     assert digest.hexdigest() == GOLDEN_STORM_SHA256
+
+
+def test_trace_io_streams_in_bounded_memory(tmp_path):
+    """Serializing a long trace holds the output and little else: no list
+    of lines or joined copy beside it. The file round trip goes through the
+    streaming writer and reader themselves."""
+    config = Config(n_acceptors=3, register_mode=Mode.SEQUENCE, read_retry_limit=2)
+    scripts = [script(0, (W,), loop_until=60)]
+    scripts += [script(c, (R,), loop_until=60) for c in range(1, 65)]
+    res = run_workload(config, SimConfig(seed=0, fifo=True, max_delay=5), scripts)
+    assert len(res.trace) > 9000
+    tracemalloc.start()
+    try:
+        data = trace_to_jsonl(res.trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 1_000_000
+    assert peak <= 1.5 * len(data), f"peak {peak} bytes for {len(data)} bytes of output"
+
+    path = tmp_path / "storm.jsonl"
+    with path.open("wb") as fp:
+        write_trace(res.trace, fp)
+    assert path.read_bytes() == data
+    with path.open("rb") as fp:
+        assert read_trace(fp) == res.trace
