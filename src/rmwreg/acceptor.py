@@ -31,12 +31,13 @@ from .messages import Ack, Learned, Nack, PaxosPrep, Prepare, ReqKind, Vote, Vot
 Send = Tuple[ProcessId, object]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AcceptorState:
     """(r_ack, val, r_voted, req): everything an acceptor stores per register.
 
     r_ack never decreases; (val, r_voted, req) change only together, when a
-    vote is cast.
+    vote is cast. A cell is replaced, never reassigned field by field: it is
+    a slotted record like the messages, and `INITIAL_STATE` is shared.
     """
 
     r_ack: Round = ROUND_ZERO

@@ -25,7 +25,7 @@ from .trace import ClientResponseEv, SendEv, StateSnapshotEv
 MAX_LINEARIZE_OPS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HistoryEvent:
     kind: str  # "invoke" | "respond"
     client: int

@@ -47,8 +47,12 @@ def _parse_mode(s: str) -> Mode:
 def _parse_seeds(s: str) -> range:
     if ":" in s:
         lo, hi = s.split(":", 1)
-        return range(int(lo), int(hi))
-    return range(int(s), int(s) + 1)
+        seeds = range(int(lo), int(hi))
+    else:
+        seeds = range(int(s), int(s) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {s!r}")
+    return seeds
 
 
 def _parse_addresses(s: str) -> List[Tuple[str, int]]:
@@ -159,7 +163,7 @@ def cmd_fuzz(args) -> int:
     else:
         scripts, fixed_crash = default_scripts(mode), None
 
-    seeds = _parse_seeds(args.seeds)
+    seeds = args.seeds
     verdicts = {}
     first_counterexample: Optional[str] = None
     started = time.monotonic()
@@ -301,7 +305,11 @@ def cmd_serve(args) -> int:
         fast_writes=args.fast_writes,
         batch_interval=args.batch_interval,
     )
-    replica = Replica(args.index, addresses, config)
+    try:
+        replica = Replica(args.index, addresses, config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     replica.start()
     print(f"replica {args.index} listening on {addresses[args.index]}")
     try:
@@ -316,17 +324,26 @@ def cmd_client(args) -> int:
     from .net import NetClient
 
     addresses = _parse_addresses(args.replicas)
-    client = NetClient(addresses[args.connect], retries=args.retries)
-    facade = client.facade(_parse_mode(args.mode))
-    key = args.key.encode()
-    try:
-        if args.op == "get":
-            print(json.dumps(facade.get(key)))
-        else:
+    if not 0 <= args.connect < len(addresses):
+        args.parser_error(f"--connect {args.connect} is not a replica index "
+                          f"below {len(addresses)}")
+    cmd = None
+    if args.op != "get":
+        try:
             operands = [json.loads(a) for a in args.args]
             cmd = kv.decode_command(
                 json.dumps({"op": args.op, "args": operands}).encode()
             )
+        except (kv.CommandError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    client = NetClient(addresses[args.connect], retries=args.retries)
+    facade = client.facade(_parse_mode(args.mode))
+    key = args.key.encode()
+    try:
+        if cmd is None:
+            print(json.dumps(facade.get(key)))
+        else:
             outcome, value = facade.update(key, cmd)
             print(outcome if value is None else f"{outcome} {json.dumps(value)}")
     except (kv.Unavailable, kv.ModeError) as exc:
@@ -356,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser("fuzz", help="run a seeded simulation campaign")
     _add_protocol_flags(fuzz)
     fuzz.add_argument("--replicas", type=int, default=3)
-    fuzz.add_argument("--seeds", default="0:100", help="seed or lo:hi range")
+    fuzz.add_argument("--seeds", type=_parse_seeds, default="0:100",
+                      help="seed or non-empty lo:hi range")
     fuzz.add_argument("--drop", type=float, default=0.0)
     fuzz.add_argument("--dup", type=float, default=0.0)
     fuzz.add_argument("--delay", type=int, default=10, help="max message delay in ticks")
@@ -390,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("op", choices=["get", "set", "cas", "add", "set_insert",
                                        "set_remove", "append"])
     client.add_argument("args", nargs="*", help="JSON-encoded operands")
-    client.set_defaults(fn=cmd_client)
+    client.set_defaults(fn=cmd_client, parser_error=client.error)
     return parser
 
 

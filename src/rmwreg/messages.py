@@ -4,6 +4,14 @@ the client-facing request/reply contract.
 Every acceptor-bound message carries the register key (so one acceptor can
 host many independent registers) and a `ticket` identifying the proposer's
 request attempt, echoed back in replies so stale replies can be dropped.
+
+The nine messages are slotted records, not frozen dataclasses: one is built
+per send, and a frozen `__init__` stores each field through
+`object.__setattr__`, about four times the cost. They are unhashable and are
+never reassigned after construction;
+`tests/test_sim.py::test_records_are_never_reassigned` checks that. `Ticket`
+stays a frozen value: it is built once per attempt and shared by the
+attempt's messages.
 """
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ class ReqKind(enum.Enum):
 # proposer -> acceptor
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prepare:
     """Round-less phase-1 message; acceptors assign the round themselves."""
 
@@ -41,7 +49,7 @@ class Prepare:
     ticket: Ticket
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PaxosPrep:
     """Explicit-round phase-1 message used after a failed round-less attempt."""
 
@@ -51,7 +59,7 @@ class PaxosPrep:
     ticket: Ticket
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Vote:
     """Phase-2 proposal. req_cur identifies this proposal's write request;
     req_prev names the previously chosen successor (triggers LEARNED)."""
@@ -69,7 +77,7 @@ class Vote:
 # acceptor -> proposer
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ack:
     """Phase-1 reply carrying the full acceptor state."""
 
@@ -83,7 +91,7 @@ class Ack:
     incremented: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Nack:
     """Stale prepare or vote; carries the acceptor's current promise."""
 
@@ -93,7 +101,7 @@ class Nack:
     r_ack: Round
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Voted:
     """Positive phase-2 reply. Value is echoed for trace auditing; the
     protocol itself only needs the round."""
@@ -105,7 +113,7 @@ class Voted:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Learned:
     """Notifies the owner of `req` that its proposal was chosen."""
 
@@ -127,7 +135,7 @@ class Status(enum.Enum):
     ERROR = 5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientRequest:
     key: bytes
     kind: ReqKind
@@ -135,7 +143,7 @@ class ClientRequest:
     client_seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientReply:
     status: Status
     value: Value

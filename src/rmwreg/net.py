@@ -84,6 +84,8 @@ class Replica:
     def __init__(self, index: int, addresses: List[Tuple[str, int]], config: Config):
         if config.n_acceptors != len(addresses):
             raise ValueError("address list must cover every replica")
+        if not 0 <= index < len(addresses):
+            raise ValueError(f"replica index {index} is outside a group of {len(addresses)}")
         self.index = index
         self.addresses = addresses
         self.config = config

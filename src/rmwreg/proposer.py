@@ -65,15 +65,19 @@ REQUEST_TIMEOUT_TICKS = 60
 
 # ---------------------------------------------------------------------------
 # effects
+#
+# Like the messages, effects and `FastToken` are slotted records built on
+# the hot path: unhashable, and never reassigned after construction
+# (`tests/test_sim.py::test_records_are_never_reassigned`).
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     dst: ProcessId
     msg: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reply:
     client: object
     status: Status
@@ -81,7 +85,7 @@ class Reply:
     client_seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     delay: int
     token: tuple
@@ -90,7 +94,7 @@ class SetTimer:
 Effect = Union[Send, Reply, SetTimer]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FastToken:
     """Phase-1 skip: a round usable without negotiation, plus the chosen
     base value and its ReqID. Invalidated by any Nack."""

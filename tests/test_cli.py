@@ -145,3 +145,32 @@ def test_unknown_scripted_op_rejected(tmp_path):
 def test_mode_flag_validated(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "--mode", "bogus"])
+
+
+@pytest.mark.parametrize("seeds", ["5:3", "0:0"])
+def test_fuzz_empty_seed_range_rejected(capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "empty seed range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["client", "--replicas", "127.0.0.1:1", "add"],
+                 "add expects 1 argument", id="missing-operand"),
+    pytest.param(["client", "--replicas", "127.0.0.1:1", "set", "notjson"],
+                 "Expecting value", id="operand-not-json"),
+    pytest.param(["client", "--replicas", "127.0.0.1:1", "--connect", "5", "get"],
+                 "--connect 5 is not a replica index", id="connect-out-of-range"),
+    pytest.param(["serve", "--replicas", "127.0.0.1:1", "--index", "1"],
+                 "replica index 1 is outside a group of 1", id="serve-index-out-of-range"),
+])
+def test_bad_serve_and_client_input_exits_2(capsys, argv, message):
+    # Bad input is reported before any socket is opened.
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err

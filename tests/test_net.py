@@ -96,6 +96,9 @@ def test_mismatched_group_size_rejected():
     addrs = free_addresses(2)
     with pytest.raises(ValueError):
         Replica(0, addrs, Config(n_acceptors=3))
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="outside a group"):
+            Replica(index, addrs, Config(n_acceptors=2))
 
 
 def test_malformed_command_gets_error_reply(group):

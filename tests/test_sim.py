@@ -1,12 +1,13 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
 
 import pytest
 
-from rmwreg import kv
-from rmwreg.core import Config, Mode, Value
-from rmwreg.messages import ReqKind, Status
+from rmwreg import acceptor, checker, kv, messages, proposer
+from rmwreg.core import Config, Mode, ReqID, Round, Value
+from rmwreg.messages import ReqKind, Status, Ticket
 from rmwreg.sim import (
     PROPOSER_BASE,
     ClientResponseEv,
@@ -254,3 +255,64 @@ def test_trace_io_streams_in_bounded_memory(tmp_path):
     assert path.read_bytes() == data
     with path.open("rb") as fp:
         assert read_trace(fp) == res.trace
+
+
+# Slotted, not frozen, because one is built per message, effect, acceptor
+# write or history entry. They must still never be reassigned.
+RECORDS = (
+    messages.Prepare, messages.PaxosPrep, messages.Vote, messages.Ack,
+    messages.Nack, messages.Voted, messages.Learned, messages.ClientRequest,
+    messages.ClientReply, proposer.Send, proposer.Reply, proposer.SetTimer,
+    proposer.FastToken, acceptor.AcceptorState, checker.HistoryEvent,
+)
+
+
+def _write_once(self, name, value):
+    try:
+        getattr(self, name)
+    except AttributeError:  # an empty slot: the record's own __init__
+        object.__setattr__(self, name, value)
+        return
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def test_records_are_never_reassigned():
+    """Each record may set a field once, in its `__init__`. The golden
+    digests and a loopback group run with that enforced, and nothing in them
+    reassigns a field; a direct assignment trips the guard."""
+    from rmwreg.net import NetClient
+    from test_net import free_addresses, start_group
+
+    for cls in RECORDS:
+        assert "__slots__" in vars(cls) and "__setattr__" not in vars(cls), cls
+    for frozen in (Round(1, 0), ReqID(0, 1), Value(b"x"), Ticket(0, 1)):
+        hash(frozen)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frozen, dataclasses.fields(frozen)[0].name, None)
+    try:
+        for cls in RECORDS:
+            cls.__setattr__ = _write_once
+        for cls in RECORDS:
+            record = cls(*(None for _ in dataclasses.fields(cls)))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(cls)[0].name, None)
+
+        test_golden_trace_digest()
+        test_golden_storm_digest()
+
+        addrs = free_addresses(3)
+        replicas = start_group(addrs)
+        client = NetClient(addrs[1])
+        try:
+            facade = client.facade(Mode.RMW)
+            for i in range(5):
+                assert facade.update(b"k", kv.AddCmd(1)) == ("done", i + 1)
+                assert facade.get(b"k") == i + 1
+        finally:
+            client.close()
+            for r in replicas:
+                r.stop()
+    finally:
+        for cls in RECORDS:
+            if vars(cls).get("__setattr__") is _write_once:
+                del cls.__setattr__
