@@ -58,8 +58,16 @@ def _parse_seeds(s: str) -> range:
 def _parse_addresses(s: str) -> List[Tuple[str, int]]:
     out = []
     for part in s.split(","):
-        host, port = part.rsplit(":", 1)
-        out.append((host, int(port)))
+        host, sep, port = part.rpartition(":")
+        if not sep or not host:
+            raise argparse.ArgumentTypeError(f"{part!r} is not host:port")
+        try:
+            number = int(port)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"port {port!r} is not an integer") from None
+        if not 1 <= number <= 65535:
+            raise argparse.ArgumentTypeError(f"port {number} in {part!r} is outside 1-65535")
+        out.append((host, number))
     return out
 
 
@@ -297,7 +305,7 @@ def cmd_replay(args) -> int:
 def cmd_serve(args) -> int:
     from .net import Replica
 
-    addresses = _parse_addresses(args.replicas)
+    addresses = args.replicas
     config = Config(
         n_acceptors=len(addresses),
         register_mode=_parse_mode(args.mode),
@@ -323,7 +331,7 @@ def cmd_serve(args) -> int:
 def cmd_client(args) -> int:
     from .net import NetClient
 
-    addresses = _parse_addresses(args.replicas)
+    addresses = args.replicas
     if not 0 <= args.connect < len(addresses):
         args.parser_error(f"--connect {args.connect} is not a replica index "
                           f"below {len(addresses)}")
@@ -394,14 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run one socket replica")
     _add_protocol_flags(serve)
-    serve.add_argument("--replicas", required=True,
+    serve.add_argument("--replicas", type=_parse_addresses, required=True,
                        help="comma-separated host:port list for the whole group")
     serve.add_argument("--index", type=int, required=True)
     serve.set_defaults(fn=cmd_serve)
 
     client = sub.add_parser("client", help="issue one operation against the group")
     client.add_argument("--mode", default="rmw", choices=[m.value for m in Mode])
-    client.add_argument("--replicas", required=True)
+    client.add_argument("--replicas", type=_parse_addresses, required=True,
+                        help="comma-separated host:port list for the whole group")
     client.add_argument("--connect", type=int, default=0, help="replica index to contact")
     client.add_argument("--retries", type=int, default=3)
     client.add_argument("--key", default="r")

@@ -11,15 +11,22 @@ stay because encoded bytes are shared between builds: `Value` puts its empty
 flag before its payload, and `Learned.req`, though always set, carries the
 presence byte of an optional request id.
 
+When the module loads, each message's flat layout is compiled from
+`MESSAGES` into one encoder and one decoder, whose source is generated the
+way `namedtuple` generates a class: fixed-width fields that are adjacent on
+the wire, those of nested records included, share one `struct` call, and
+flag and presence bytes are checked inline.
+
 Decoding is canonical: input that decodes re-encodes to the same bytes, and
 any other input raises `CodecError`.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
 from operator import attrgetter, index
-from typing import Any, Callable, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from .core import ReqID, Round, Value
 from .messages import (
@@ -43,62 +50,32 @@ class CodecError(Exception):
 
 
 class Kind(NamedTuple):
-    """One field type's wire form, `put(v) -> bytes` and
-    `take(data, pos) -> (v, next_pos)`, and its JSON form. `fmt` is the
-    struct code of a fixed-width integer. Kinds used only in JSON, such as
-    `MESSAGE`, have no wire form."""
+    """One field type's wire layout, which `_compile` reads, and its JSON
+    form. The layout is `("int", struct code)`, `("flag",)`, `("bytes",)`,
+    `("enum", {byte: member})`, `("optional", kind)` or
+    `("record", cls, fields)`. Kinds used only in JSON, such as `MESSAGE`,
+    have none."""
 
-    put: Callable[[Any], bytes]
-    take: Callable[[bytes, int], Tuple[Any, int]]
+    wire: tuple = ()
     to_json: Callable[[Any], Any] = lambda v: v
     from_json: Callable[[Any], Any] = lambda j: j
-    fmt: str = ""
 
 
-def _int(fmt: str) -> Kind:
-    s = struct.Struct(">" + fmt)
-
-    def take(data, pos):
-        return s.unpack_from(data, pos)[0], pos + s.size
-
-    return Kind(s.pack, take, from_json=index, fmt=fmt)  # index() rejects a non-integer
-
-
-def _flag(data: bytes, pos: int) -> bool:
-    # A flag byte other than 0 or 1 would not re-encode to itself.
-    if data[pos] > 1:
-        raise CodecError(f"flag byte {data[pos]} at offset {pos}")
-    return data[pos] == 1
-
-
-def _take_bytes(data, pos):
-    n, pos = U32.take(data, pos)
-    if pos + n > len(data):
-        raise CodecError(f"truncated encoding at byte {pos}")
-    return data[pos : pos + n], pos + n
-
-
-U32 = _int("I")
-U64 = _int("Q")
-FLAG = Kind(lambda v: b"\x01" if v else b"\x00", lambda data, pos: (_flag(data, pos), pos + 1))
-BYTES = Kind(lambda v: U32.put(len(v)) + v, _take_bytes, bytes.hex, bytes.fromhex)
+U32 = Kind(("int", "I"), from_json=index)  # index() rejects a non-integer
+U64 = Kind(("int", "Q"), from_json=index)
+FLAG = Kind(("flag",))  # one byte, 0 or 1
+BYTES = Kind(("bytes",), bytes.hex, bytes.fromhex)  # U32 length, then the bytes
 
 
 def enum(cls) -> Kind:
     """One byte holding the member's value; JSON is the value."""
-    return Kind(
-        lambda v: bytes((v.value,)),
-        lambda data, pos: (cls(data[pos]), pos + 1),
-        lambda v: v.value,
-        cls,
-    )
+    return Kind(("enum", {m.value: m for m in cls}), lambda v: v.value, cls)
 
 
 def optional(kind: Kind) -> Kind:
     """A presence flag byte, then `kind` when present; JSON null when absent."""
     return Kind(
-        lambda v: b"\x00" if v is None else b"\x01" + kind.put(v),
-        lambda data, pos: kind.take(data, pos + 1) if _flag(data, pos) else (None, pos + 1),
+        ("optional", kind),
         lambda v: None if v is None else kind.to_json(v),
         lambda j: None if j is None else kind.from_json(j),
     )
@@ -106,33 +83,13 @@ def optional(kind: Kind) -> Kind:
 
 def record(cls, fields, json_list: bool = False) -> Kind:
     """A dataclass as two or more `(name, kind)` fields in wire order, which
-    name every declared field. JSON is an object keyed by field name, or with
-    `json_list` a list in wire order."""
-    get = attrgetter(*(name for name, _ in fields))
-    declared = [f.name for f in dataclasses.fields(cls)]
-    slots = [declared.index(name) for name, _ in fields]  # constructor positions
-    if all(kind.fmt for _, kind in fields) and slots == sorted(slots):
-        # Only fixed-width integers, in declaration order: one struct call.
-        fixed = struct.Struct(">" + "".join(kind.fmt for _, kind in fields))
-
-        def put(v):
-            return fixed.pack(*get(v))
-
-        def take(data, pos):
-            return cls(*fixed.unpack_from(data, pos)), pos + fixed.size
-
-    else:
-        puts = tuple(kind.put for _, kind in fields)
-        steps = tuple(zip(slots, (kind.take for _, kind in fields)))
-
-        def put(v):
-            return b"".join([put_field(x) for put_field, x in zip(puts, get(v))])
-
-        def take(data, pos):
-            vals = [None] * len(steps)
-            for slot, take_field in steps:
-                vals[slot], pos = take_field(data, pos)
-            return cls(*vals), pos
+    name every declared field once. JSON is an object keyed by field name,
+    or with `json_list` a list in wire order."""
+    fields = tuple(fields)
+    names = [name for name, _ in fields]
+    if sorted(names) != sorted(f.name for f in dataclasses.fields(cls)):
+        raise ValueError(f"{cls.__name__}: {names} do not name each field once")
+    get = attrgetter(*names)
 
     def to_json(v):
         out = {name: kind.to_json(x) for (name, kind), x in zip(fields, get(v))}
@@ -140,10 +97,10 @@ def record(cls, fields, json_list: bool = False) -> Kind:
 
     def from_json(j):
         if json_list:
-            j = dict(zip((name for name, _ in fields), j, strict=True))
+            j = dict(zip(names, j, strict=True))
         return cls(**{name: kind.from_json(j[name]) for name, kind in fields})
 
-    return Kind(put, take, to_json, from_json)
+    return Kind(("record", cls, fields), to_json, from_json)
 
 
 ROUND = record(Round, (("n", U32), ("id", optional(U64))), json_list=True)
@@ -169,51 +126,205 @@ MESSAGES = {
                         ("client_seq", U64))),
     9: (ClientReply, (("status", STATUS), ("value", VALUE), ("client_seq", U64))),
 }
-_BY_TAG = {tag: record(cls, fields) for tag, (cls, fields) in MESSAGES.items()}
-_BY_CLASS = {cls: (tag, _BY_TAG[tag]) for tag, (cls, _) in MESSAGES.items()}
+
+
+# ---------------------------------------------------------------------------
+# layout compiler
+
+
+class _Source:
+    """Generated code under construction: the objects it names, its lines,
+    and the run of adjacent fixed-width fields not yet packed or unpacked,
+    as `(struct code, expression or target)` pairs. A nested block shares
+    its parent's names."""
+
+    def __init__(self, env: Dict[str, Any], count=None):
+        self.env = env
+        self.count = itertools.count() if count is None else count
+        self.lines: List[str] = []
+        self.run: List[Tuple[str, str]] = []
+        self.checks: List[str] = []  # statements due once the run is unpacked
+
+    def name(self, obj) -> str:
+        """The generated code's name for `obj`."""
+        name = f"_{len(self.env)}"
+        self.env[name] = obj
+        return name
+
+    def fresh(self) -> str:
+        """A new local variable."""
+        return f"v{next(self.count)}"
+
+    def pack(self, parts: List[str]) -> None:
+        """Appends to `parts` an expression that packs the run."""
+        if self.run:
+            fixed = struct.Struct(">" + "".join(code for code, _ in self.run))
+            items = ", ".join(item for _, item in self.run)
+            parts.append(f"{self.name(fixed)}.pack({items})")
+            self.run = []
+
+    def unpack(self) -> None:
+        """Emits the statements that unpack the run, then its checks."""
+        if len(self.run) == 1 and self.run[0][0] == "B":  # a lone byte needs no struct
+            self.lines += [f"{self.run[0][1]} = data[pos]", "pos += 1"]
+        elif self.run:
+            fixed = struct.Struct(">" + "".join(code for code, _ in self.run))
+            targets = ", ".join(target for _, target in self.run)
+            self.lines += [f"{targets}, = {self.name(fixed)}.unpack_from(data, pos)",
+                           f"pos += {fixed.size}"]
+        self.lines += self.checks
+        self.run, self.checks = [], []
+
+
+def _put(src: _Source, parts: List[str], kind: Kind, expr: str) -> None:
+    """Appends to `parts` the expressions whose bytes encode `expr`."""
+    form = kind.wire[0]
+    if form == "int":
+        src.run.append((kind.wire[1], expr))
+    elif form == "flag":
+        src.run.append(("B", f"1 if {expr} else 0"))
+    elif form == "enum":
+        src.run.append(("B", f"{expr}._value_"))
+    elif form == "bytes":
+        src.run.append(("I", f"len({expr})"))
+        src.pack(parts)
+        parts.append(expr)
+    elif form == "record":
+        for name, field_kind in kind.wire[2]:
+            _put(src, parts, field_kind, f"{expr}.{name}")
+    else:  # optional
+        src.pack(parts)
+        var = src.fresh()
+        inner: List[str] = []
+        src.run.append(("B", "1"))
+        _put(src, inner, kind.wire[1], var)
+        src.pack(inner)
+        parts.append(f"(b'\\x00' if ({var} := {expr}) is None else {_joined(inner)})")
+
+
+def _joined(parts: List[str]) -> str:
+    return parts[0] if len(parts) == 1 else f"b''.join(({', '.join(parts)},))"
+
+
+def _take(src: _Source, kind: Kind, path: str) -> str:
+    """Emits the code that decodes `kind` at `pos`; returns an expression
+    for the value, valid once the run is unpacked."""
+    form = kind.wire[0]
+    if form in ("int", "flag", "enum"):
+        var = src.fresh()
+        src.run.append((kind.wire[1] if form == "int" else "B", var))
+        if form == "flag":
+            # A flag byte other than 0 or 1 would not re-encode to itself.
+            src.checks.append(f"if {var} > 1: raise CodecError('flag byte %d in {path}' % {var})")
+            return f"{var} == 1"
+        return f"{src.name(kind.wire[1])}[{var}]" if form == "enum" else var
+    if form == "bytes":
+        size = src.fresh()
+        src.run.append(("I", size))
+        src.unpack()
+        var = src.fresh()
+        src.lines += [
+            f"end = pos + {size}",
+            "if end > len(data): raise CodecError('truncated encoding at byte %d' % pos)",
+            f"{var} = data[pos:end]",
+            "pos = end",
+        ]
+        return var
+    if form == "record":
+        cls, fields = kind.wire[1], kind.wire[2]
+        values = {name: _take(src, field_kind, f"{path}.{name}") for name, field_kind in fields}
+        args = ", ".join(values[f.name] for f in dataclasses.fields(cls))
+        return f"{src.name(cls)}({args})"
+    # optional
+    flag = src.fresh()
+    src.run.append(("B", flag))
+    src.unpack()
+    var = src.fresh()
+    inner = _Source(src.env, src.count)
+    value = _take(inner, kind.wire[1], path)
+    inner.unpack()
+    src.lines += [
+        f"if {flag} == 0:",
+        f"    {var} = None",
+        f"elif {flag} == 1:",
+        *("    " + line for line in inner.lines),
+        f"    {var} = {value}",
+        f"else: raise CodecError('presence byte %d in {path}' % {flag})",
+    ]
+    return var
+
+
+def _compile(tag: int, cls, fields) -> Tuple[Callable, Callable]:
+    """The encoder `msg -> bytes` and decoder `(data, pos) -> (msg, next
+    pos)` of one message type, the decoder starting after the tag."""
+    env: Dict[str, Any] = {"CodecError": CodecError}
+    kind = record(cls, fields)
+    src = _Source(env)
+    parts: List[str] = []
+    src.run.append(("B", str(tag)))
+    _put(src, parts, kind, "m")
+    src.pack(parts)
+    value = _take(src, kind, cls.__name__)
+    src.unpack()
+    code = "\n".join([
+        f"def encode_{cls.__name__}(m):",
+        f"    return {_joined(parts)}",
+        f"def decode_{cls.__name__}(data, pos):",
+        *("    " + line for line in src.lines),
+        f"    return {value}, pos",
+    ])
+    exec(compile(code, f"<codec {cls.__name__}>", "exec"), env)
+    return env[f"encode_{cls.__name__}"], env[f"decode_{cls.__name__}"]
+
+
+_COMPILED = {tag: (cls, *_compile(tag, cls, fields)) for tag, (cls, fields) in MESSAGES.items()}
+_ENCODERS = {cls: put for cls, put, _ in _COMPILED.values()}
+_DECODERS = {tag: take for tag, (_, _, take) in _COMPILED.items()}
 
 
 def encode(msg) -> bytes:
-    try:
-        tag, kind = _BY_CLASS[type(msg)]
-    except KeyError:
-        raise CodecError(f"cannot encode {type(msg).__name__}") from None
-    return bytes((tag,)) + kind.put(msg)
+    put = _ENCODERS.get(type(msg))
+    if put is None:
+        raise CodecError(f"cannot encode {type(msg).__name__}")
+    return put(msg)
 
 
 def decode(data: bytes):
     if not data:
         raise CodecError("empty encoding")
-    kind = _BY_TAG.get(data[0])
-    if kind is None:
+    take = _DECODERS.get(data[0])
+    if take is None:
         raise CodecError(f"unknown message tag {data[0]}")
     try:
-        msg, pos = kind.take(data, 1)
-    except (IndexError, ValueError, struct.error) as exc:
-        raise CodecError(f"malformed encoding: {exc}") from exc
+        msg, pos = take(data, 1)
+    except (IndexError, KeyError, ValueError, struct.error) as exc:
+        # Truncation, a bad enum byte, or an empty Value with a payload.
+        raise CodecError(f"malformed encoding: {exc!r}") from exc
     if pos != len(data):
         raise CodecError(f"trailing bytes at offset {pos}")
     return msg
 
 
 # JSON form of a whole message: its canonical encoding in hex.
-MESSAGE = Kind(None, None, lambda m: encode(m).hex(), lambda j: decode(bytes.fromhex(j)))
+MESSAGE = Kind((), lambda m: encode(m).hex(), lambda j: decode(bytes.fromhex(j)))
 
 
 # ---------------------------------------------------------------------------
 # socket framing: 4-byte big-endian length prefix + canonical encoding
 
+_LENGTH = struct.Struct(">I")
+
 
 def frame(msg) -> bytes:
     body = encode(msg)
-    return U32.put(len(body)) + body
+    return _LENGTH.pack(len(body)) + body
 
 
 def unframe(buf: bytearray):
     """Yield the message in each complete frame at the front of `buf`,
     deleting the frame's bytes before it is decoded; a partial frame stays."""
     while len(buf) >= 4:
-        end = 4 + U32.take(buf, 0)[0]
+        end = 4 + _LENGTH.unpack_from(buf)[0]
         if len(buf) < end:
             return
         body = bytes(buf[4:end])
@@ -226,7 +337,7 @@ def read_frame(sock):
     header = _read_exact(sock, 4)
     if header is None:
         return None
-    body = _read_exact(sock, U32.take(header, 0)[0])
+    body = _read_exact(sock, _LENGTH.unpack(header)[0])
     if body is None:
         raise CodecError("connection closed mid-frame")
     return decode(body)

@@ -6,12 +6,18 @@ machines, so the message-at-a-time discipline of the protocol core carries
 over unchanged. Every socket is non-blocking and has an input buffer, which
 `codec.unframe` drains, and an output buffer, flushed once per turn of the
 loop. Proposer timers wait in a heap of `(deadline, seq, token)`, and
-messages a replica sends to itself go through a local deque.
+messages a replica sends to itself go through a local deque. A timer whose
+firing would do nothing, such as one of a request that has finished, is
+dropped from the top of the heap before the loop waits, so it never wakes
+the loop.
 
 TCP provides the reliable FIFO links RMW mode needs. A replica sends to each
 peer over one outbound connection, which it opens without blocking and
 re-opens after a growing pause when the connect fails or the peer hangs up.
 What is sent to a peer that is down is lost; the protocol's retries cover it.
+
+`NetClient` reads whole segments into a buffer of its own and drains the
+complete frames from it, so a reply costs one `recv`.
 """
 from __future__ import annotations
 
@@ -53,6 +59,11 @@ RECV_BYTES = 65536
 
 READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
+
+
+# Which role a peer message goes to.
+_TO_PROPOSER = frozenset({Ack, Nack, Voted, Learned})
+_TO_ACCEPTOR = frozenset({Prepare, PaxosPrep, Vote})
 
 
 def proposer_pid(index: int) -> int:
@@ -129,10 +140,13 @@ class Replica:
 
     def _run(self) -> None:
         try:
+            timers = self.timers
             while not self.stopping:
+                while timers and not self._timer_live(timers[0][2]):
+                    heapq.heappop(timers)
                 timeout = None
-                if self.timers:
-                    timeout = max(0.0, self.timers[0][0] - time.monotonic())
+                if timers:
+                    timeout = max(0.0, timers[0][0] - time.monotonic())
                 for key, events in self.selector.select(timeout):
                     if key.data is not None:
                         self._on_ready(key.data, events)
@@ -152,15 +166,19 @@ class Replica:
                 sock.close()
             self.selector.close()
 
+    def _timer_live(self, token) -> bool:
+        if type(token) is _Conn:  # a peer connect's deadline
+            return token.connecting and not token.closed
+        return self.proposer.timer_live(token)
+
     def _fire_timers(self) -> None:
         now = time.monotonic()
         while self.timers and self.timers[0][0] <= now:
             token = heapq.heappop(self.timers)[2]
-            if isinstance(token, _Conn):  # a peer connect's deadline
-                if token.connecting and not token.closed:
-                    self._close(token)
-            else:
+            if type(token) is not _Conn:
                 self._apply_effects(self.proposer.on_timer(token))
+            elif self._timer_live(token):
+                self._close(token)
 
     def _set_timer(self, seconds: float, token) -> None:
         heapq.heappush(self.timers, (time.monotonic() + seconds, next(self.timer_seq), token))
@@ -279,13 +297,14 @@ class Replica:
     # -- protocol -------------------------------------------------------------
 
     def _dispatch(self, msg, conn: Optional[socket.socket]) -> None:
-        if isinstance(msg, ClientRequest):
-            self._handle_client(msg, conn)
-        elif isinstance(msg, (Ack, Nack, Voted, Learned)):
+        kind = type(msg)
+        if kind in _TO_PROPOSER:
             self._apply_effects(self.proposer.on_message(msg))
-        elif isinstance(msg, (Prepare, PaxosPrep, Vote)):
+        elif kind in _TO_ACCEPTOR:
             for dst, out in self.acceptor.handle(msg):
                 self._send_peer(dst, out)
+        elif kind is ClientRequest:
+            self._handle_client(msg, conn)
 
     def _handle_client(self, req: ClientRequest, conn) -> None:
         cmd: Optional[UpdateCommand] = None
@@ -301,11 +320,12 @@ class Replica:
 
     def _apply_effects(self, effects) -> None:
         for eff in effects:
-            if isinstance(eff, Send):
+            kind = type(eff)
+            if kind is Send:
                 self._send_peer(eff.dst, eff.msg)
-            elif isinstance(eff, Reply):
+            elif kind is Reply:
                 self._reply(eff.client, ClientReply(eff.status, eff.value, eff.client_seq))
-            elif isinstance(eff, SetTimer):
+            elif kind is SetTimer:
                 self._set_timer(eff.delay * TICK_SECONDS, eff.token)
 
     def _reply(self, conn, reply: ClientReply) -> None:
@@ -323,16 +343,20 @@ class NetClient:
         self.retries = retries
         self.timeout = timeout
         self.sock: Optional[socket.socket] = None
+        self.inbuf = bytearray()  # what the replica sent that is not yet read
         self.seq = 0
 
     def close(self) -> None:
         if self.sock is not None:
             self.sock.close()
             self.sock = None
+        self.inbuf.clear()
 
     def _connect(self) -> socket.socket:
         if self.sock is None:
             self.sock = socket.create_connection(self.address, timeout=self.timeout)
+            # A request is one small write, then a wait for its reply.
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return self.sock
 
     def submit(self, key: bytes, kind: ReqKind, cmd: Optional[UpdateCommand]):
@@ -345,11 +369,13 @@ class NetClient:
                 sock = self._connect()
                 sock.sendall(codec.frame(request))
                 while True:
-                    reply = codec.read_frame(sock)
-                    if reply is None:
+                    for reply in codec.unframe(self.inbuf):
+                        if type(reply) is ClientReply and reply.client_seq == seq:
+                            return reply.status, reply.value
+                    data = sock.recv(RECV_BYTES)
+                    if not data:
                         raise codec.CodecError("server closed the connection")
-                    if isinstance(reply, ClientReply) and reply.client_seq == seq:
-                        return reply.status, reply.value
+                    self.inbuf += data
             except (OSError, codec.CodecError):
                 self.close()
         return Status.UNAVAILABLE, EMPTY

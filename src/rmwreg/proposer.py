@@ -335,13 +335,21 @@ class Proposer:
                 self._evict(req)
         return []
 
+    def timer_live(self, token: tuple) -> bool:
+        """False when firing `token` would do nothing: its request has been
+        evicted or has moved to another instance. A batch timer is live."""
+        if token[0] == "batch":
+            return True
+        req = self.requests.get(token[1])
+        return req is not None and req.instance == token[2]
+
     def on_timer(self, token: tuple) -> List[Effect]:
+        if not self.timer_live(token):
+            return []
         if token[0] == "batch":
             return self._flush_batches()
-        kind, rid, instance = token
-        req = self.requests.get(rid)
-        if req is None or req.instance != instance:
-            return []
+        kind, rid, _ = token
+        req = self.requests[rid]
         if kind == "retry":
             # Backoff expired; run the deferred explicit-round phase 1.
             ticket = Ticket(req.rid, req.instance)

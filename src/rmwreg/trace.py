@@ -101,7 +101,7 @@ class StateSnapshotEv:
 
 _STATE = codec.record(AcceptorState, (("r_ack", codec.ROUND), ("val", codec.VALUE),
                                       ("r_voted", codec.ROUND), ("req", codec.OPT_REQ)))
-_TEXT = codec.Kind(None, None)  # a string or None, its own JSON form
+_TEXT = codec.Kind()  # a string or None, its own JSON form
 
 # record "kind" name -> (event type, the kinds of its fields that are not
 # integers)

@@ -164,6 +164,13 @@ def test_fuzz_empty_seed_range_rejected(capsys, seeds):
                  "--connect 5 is not a replica index", id="connect-out-of-range"),
     pytest.param(["serve", "--replicas", "127.0.0.1:1", "--index", "1"],
                  "replica index 1 is outside a group of 1", id="serve-index-out-of-range"),
+    pytest.param(["client", "--replicas", "foo", "get", "k"],
+                 "'foo' is not host:port", id="replicas-without-port"),
+    pytest.param(["serve", "--replicas", "127.0.0.1:x", "--index", "0"],
+                 "port 'x' is not an integer", id="replicas-port-not-integer"),
+    pytest.param(["serve", "--replicas", "127.0.0.1:99999", "--index", "0"],
+                 "port 99999 in '127.0.0.1:99999' is outside 1-65535",
+                 id="replicas-port-out-of-range"),
 ])
 def test_bad_serve_and_client_input_exits_2(capsys, argv, message):
     # Bad input is reported before any socket is opened.

@@ -5,9 +5,11 @@ import time
 
 import pytest
 
-from rmwreg import kv
-from rmwreg.core import Config, Mode
+from rmwreg import codec, kv, net
+from rmwreg.core import EMPTY, Config, Mode, Value
+from rmwreg.messages import ClientReply, ReqKind, Status
 from rmwreg.net import NetClient, Replica
+from rmwreg.proposer import Proposer
 
 
 def free_addresses(n):
@@ -198,3 +200,131 @@ def test_hung_peer_connect_does_not_stall_the_others():
         for sock in held:
             sock.close()
     assert max(stop_times) < 0.5
+
+
+def fake_replica(handlers):
+    """A stand-in replica that accepts one client and answers its first
+    `len(handlers)` requests, the i-th by `handlers[i](request, conn)`,
+    then hangs up. Returns its address and its thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn = None
+        try:
+            conn, _ = listener.accept()
+            buf = bytearray()
+            pending = list(handlers)
+            while pending:
+                data = conn.recv(65536)
+                if not data:
+                    return
+                buf += data
+                for request in codec.unframe(buf):
+                    pending.pop(0)(request, conn)
+        finally:
+            if conn is not None:
+                conn.close()
+            listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def reply_to(request, value=b"v", seq=None):
+    seq = request.client_seq if seq is None else seq
+    return codec.frame(ClientReply(Status.DONE, Value(value), seq))
+
+
+def test_client_skips_a_stale_reply_in_the_same_segment():
+    address, thread = fake_replica([
+        lambda req, conn: conn.sendall(reply_to(req, b"first")),
+        # An old reply and the awaited one arrive in one segment.
+        lambda req, conn: conn.sendall(reply_to(req, b"stale", seq=req.client_seq - 1)
+                                       + reply_to(req, b"second")),
+        lambda req, conn: conn.sendall(reply_to(req, b"third")),
+    ])
+    client = NetClient(address, retries=0, timeout=5)
+    try:
+        assert client.submit(b"k", ReqKind.READ, None) == (Status.DONE, Value(b"first"))
+        assert client.submit(b"k", ReqKind.READ, None) == (Status.DONE, Value(b"second"))
+        assert client.submit(b"k", ReqKind.READ, None) == (Status.DONE, Value(b"third"))
+    finally:
+        client.close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def test_client_reads_a_reply_sent_one_byte_at_a_time():
+    def trickle(req, conn):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in reply_to(req, b"slow"):
+            conn.sendall(bytes((byte,)))
+            time.sleep(0.002)
+
+    address, thread = fake_replica([trickle])
+    client = NetClient(address, retries=0, timeout=5)
+    try:
+        assert client.submit(b"k", ReqKind.READ, None) == (Status.DONE, Value(b"slow"))
+    finally:
+        client.close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def test_client_gives_up_when_the_replica_hangs_up_mid_frame():
+    address, thread = fake_replica([lambda req, conn: conn.sendall(reply_to(req)[:-3])])
+    client = NetClient(address, retries=0, timeout=5)
+    try:
+        assert client.submit(b"k", ReqKind.READ, None) == (Status.UNAVAILABLE, EMPTY)
+        assert client.inbuf == bytearray()
+    finally:
+        client.close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def idle_timer_calls(monkeypatch):
+    """Wraps `Proposer.on_timer`; returns the list of tokens it was called
+    with and did nothing for. A live request or retry timer restarts its
+    request, and a batch timer is armed only with something to flush."""
+    idle = []
+    on_timer = Proposer.on_timer
+
+    def counted(self, token):
+        effects = on_timer(self, token)
+        if not effects:
+            idle.append(token)
+        return effects
+
+    monkeypatch.setattr(Proposer, "on_timer", counted)
+    return idle
+
+
+def test_finished_requests_timers_do_not_fire(group, monkeypatch):
+    monkeypatch.setattr(net, "TICK_SECONDS", 0.002)  # request timeouts of 120-180 ms
+    idle = idle_timer_calls(monkeypatch)
+    addrs, _ = group
+    client = NetClient(addrs[0])
+    try:
+        f = client.facade(Mode.RMW)
+        for i in range(10):
+            f.update(b"k", kv.AddCmd(1))
+            assert f.get(b"k") == i + 1
+    finally:
+        client.close()
+    time.sleep(0.5)  # every request's timer is due by now
+    assert idle == []
+
+
+def test_live_timer_still_restarts_a_request(group, monkeypatch):
+    monkeypatch.setattr(net, "TICK_SECONDS", 0.002)
+    addrs, replicas = group
+    replicas[1].stop()
+    replicas[2].stop()  # no quorum is left
+    client = NetClient(addrs[0], retries=0, timeout=0.5)
+    try:
+        assert client.submit(b"k", ReqKind.READ, None) == (Status.UNAVAILABLE, EMPTY)
+    finally:
+        client.close()
+    assert replicas[0].proposer.stats.restarts >= 1

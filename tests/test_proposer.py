@@ -294,3 +294,24 @@ def test_write_abandoned_on_recover_is_evicted():
     assert net.proposer.learned == {}
     net.fire_timers()
     assert net.replies == [] and net.queue == deque()
+
+
+
+def test_timer_live_only_for_the_current_instance_of_an_open_request():
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, appender("a"), 0, 0))
+    net.queue.clear()  # every prepare lost
+    (first,) = [t.token for t in net.timers]
+    net.timers.clear()
+    assert net.proposer.timer_live(first)
+    assert net.proposer.timer_live(("retry",) + first[1:])
+    net._absorb(net.proposer.on_timer(first))  # restart on the next instance
+    (second,) = [t.token for t in net.timers]
+    assert second[1:] == (first[1], first[2] + 1)
+    assert not net.proposer.timer_live(first)
+    assert net.proposer.timer_live(second)
+    assert net.proposer.on_timer(first) == []
+    net.pump()  # the restarted instance completes
+    assert net.replies[-1].status is Status.DONE
+    assert not net.proposer.timer_live(second)
+    assert net.proposer.timer_live(("batch",))
