@@ -1,3 +1,5 @@
+import hashlib
+import random
 import socket
 
 import pytest
@@ -182,3 +184,58 @@ def test_read_frame_mid_frame_eof():
     with pytest.raises(codec.CodecError):
         codec.read_frame(b)
     b.close()
+
+
+def _corpus(n, seed):
+    """`n` messages cycling through all nine types, their fields drawn from
+    `random.Random(seed)` and reaching each field's extremes."""
+    rng = random.Random(seed)
+
+    def uint(bits):
+        return rng.choice((0, 2**bits - 1, rng.getrandbits(bits), rng.randrange(16)))
+
+    def blob():
+        return rng.randbytes(rng.choice((0, 1, rng.randrange(48))))
+
+    def round_():
+        return Round(uint(32), rng.choice((None, uint(64))))
+
+    def value():
+        return EMPTY if rng.random() < 0.2 else Value(blob())
+
+    def reqid():
+        return ReqID(uint(64), uint(64))
+
+    def opt_req():
+        return None if rng.random() < 0.3 else reqid()
+
+    def ticket():
+        return Ticket(uint(64), uint(32))
+
+    builders = (
+        lambda: Prepare(blob(), uint(64), rng.choice(list(ReqKind)), ticket()),
+        lambda: PaxosPrep(blob(), uint(64), round_(), ticket()),
+        lambda: Vote(blob(), uint(64), round_(), value(), opt_req(), opt_req(), ticket()),
+        lambda: Ack(blob(), uint(64), ticket(), round_(), value(), round_(), opt_req(),
+                    rng.random() < 0.5),
+        lambda: Voted(blob(), uint(64), ticket(), round_(), value()),
+        lambda: Nack(blob(), uint(64), ticket(), round_()),
+        lambda: Learned(blob(), uint(64), reqid()),
+        lambda: ClientRequest(blob(), rng.choice(list(ReqKind)), blob(), uint(64)),
+        lambda: ClientReply(rng.choice(list(Status)), value(), uint(64)),
+    )
+    return [builders[i % len(builders)]() for i in range(n)]
+
+
+# sha256 over the encodings of `_corpus(5000, seed=9)`, each preceded by its
+# 4-byte length. Like GOLDEN_HEX, this must never change.
+CORPUS_SHA256 = "cf9c9022d7fd8ba061f86ca625a59aaa59bf5a13d7ca6964e2b729abf05a23ed"
+
+
+def test_seeded_corpus_wire_digest():
+    digest = hashlib.sha256()
+    for msg in _corpus(5000, seed=9):
+        blob = codec.encode(msg)
+        assert codec.decode(blob) == msg
+        digest.update(len(blob).to_bytes(4, "big") + blob)
+    assert digest.hexdigest() == CORPUS_SHA256
