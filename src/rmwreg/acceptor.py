@@ -121,9 +121,7 @@ class Acceptor:
             # Behave as if a Prepare from the same proposer arrived right
             # after voting, so it may skip phase 1 next time.
             r_ack = Round(msg.round.n + 1, msg.round.id)
-        self.cells[msg.key] = AcceptorState(
-            r_ack=r_ack, val=msg.value, r_voted=msg.round, req=msg.req_cur
-        )
+        self.cells[msg.key] = AcceptorState(r_ack, msg.value, msg.round, msg.req_cur)
         out: List[Send] = [
             (msg.src, Voted(msg.key, self.pid, msg.ticket, msg.round, msg.value))
         ]
@@ -132,16 +130,8 @@ class Acceptor:
         return out
 
     def _ack(self, key: bytes, ticket, state: AcceptorState, incremented: bool) -> Ack:
-        return Ack(
-            key=key,
-            src=self.pid,
-            ticket=ticket,
-            r_ack=state.r_ack,
-            val=state.val,
-            r_voted=state.r_voted,
-            req=state.req,
-            incremented=incremented,
-        )
+        return Ack(key, self.pid, ticket, state.r_ack, state.val, state.r_voted, state.req,
+                   incremented)
 
 
 # message type -> the Acceptor method that handles it; other types are ignored

@@ -354,7 +354,7 @@ def cmd_client(args) -> int:
         else:
             outcome, value = facade.update(key, cmd)
             print(outcome if value is None else f"{outcome} {json.dumps(value)}")
-    except (kv.Unavailable, kv.ModeError) as exc:
+    except (kv.Unavailable, kv.ModeError, kv.CommandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

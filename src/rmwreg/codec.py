@@ -6,7 +6,7 @@ messages as hex (see `rmwreg.trace`).
 
 The field kinds below are the only place a type's wire and JSON form is
 stated, and `MESSAGES` the only place a message's fields and their wire order
-are. Two entries deliberately depart from the dataclass declarations, and
+are. Two entries deliberately depart from the declared field order, and
 stay because encoded bytes are shared between builds: `Value` puts its empty
 flag before its payload, and `Learned.req`, though always set, carries the
 presence byte of an optional request id.
@@ -81,13 +81,19 @@ def optional(kind: Kind) -> Kind:
     )
 
 
+def field_names(cls) -> Tuple[str, ...]:
+    """The fields of a record type in the order its constructor takes them:
+    a `FrozenTuple`'s `_fields`, or a dataclass's fields."""
+    return getattr(cls, "_fields", None) or tuple(f.name for f in dataclasses.fields(cls))
+
+
 def record(cls, fields, json_list: bool = False) -> Kind:
-    """A dataclass as two or more `(name, kind)` fields in wire order, which
-    name every declared field once. JSON is an object keyed by field name,
-    or with `json_list` a list in wire order."""
+    """A dataclass or `FrozenTuple` as two or more `(name, kind)` fields in
+    wire order, which name every declared field once. JSON is an object
+    keyed by field name, or with `json_list` a list in wire order."""
     fields = tuple(fields)
     names = [name for name, _ in fields]
-    if sorted(names) != sorted(f.name for f in dataclasses.fields(cls)):
+    if sorted(names) != sorted(field_names(cls)):
         raise ValueError(f"{cls.__name__}: {names} do not name each field once")
     get = attrgetter(*names)
 
@@ -233,7 +239,7 @@ def _take(src: _Source, kind: Kind, path: str) -> str:
     if form == "record":
         cls, fields = kind.wire[1], kind.wire[2]
         values = {name: _take(src, field_kind, f"{path}.{name}") for name, field_kind in fields}
-        args = ", ".join(values[f.name] for f in dataclasses.fields(cls))
+        args = ", ".join(values[name] for name in field_names(cls))
         return f"{src.name(cls)}({args})"
     # optional
     flag = src.fresh()

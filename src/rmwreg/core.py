@@ -3,12 +3,22 @@ commands, and deployment configuration.
 
 Everything here is an immutable value; instances can be shared freely
 between state machines and execution contexts.
+
+`Round`, `ReqID` and `Value` (and `messages.Ticket`) are dict keys and set
+members on every protocol step, so they are `tuple` subclasses: hashing and
+equality are the tuple's own, done in C, and a value hashes as the plain
+tuple of its fields. Their fields are read-only properties; assigning one
+raises `FrozenInstanceError`, and `<` and the other orderings raise
+`TypeError`, as for a frozen dataclass. Equality is the tuple's too, so a
+`Round(3, 7)` equals a `ReqID(3, 7)` and the plain tuple `(3, 7)`. No dict
+or set may therefore mix these types, or them and plain tuples, as keys.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, Optional
+from dataclasses import FrozenInstanceError, dataclass
+from operator import itemgetter
+from typing import Callable, FrozenSet, Iterable, Optional, Tuple
 
 # Opaque process identifier. Total order is only used for deterministic
 # tie-breaking in tests and trace output; the protocol needs equality plus
@@ -27,13 +37,56 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Round:
+def _unordered(op: str):
+    def compare(self, other):
+        raise TypeError(f"'{op}' not supported between instances of "
+                        f"{type(self).__name__!r} and {type(other).__name__!r}")
+    return compare
+
+
+class FrozenTuple(tuple):
+    """Base of the tuple-backed value types. A subclass sets `_fields`, a
+    `__new__` taking them in order, and a property per field."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    __lt__ = _unordered("<")
+    __le__ = _unordered("<=")
+    __gt__ = _unordered(">")
+    __ge__ = _unordered(">=")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the fields
+        return tuple(self)
+
+
+def tuple_field(index: int, doc: str) -> property:
+    """Read-only property for the `index`th field of a `FrozenTuple`."""
+    return property(itemgetter(index), doc=doc)
+
+
+class Round(FrozenTuple):
     """Proposal round (n, id). Rounds with equal n but different id cannot
     be ordered. The id is None only in the initial round."""
 
-    n: int
-    id: Optional[ProcessId] = None
+    __slots__ = ()
+    _fields = ("n", "id")
+
+    def __new__(cls, n: int, id: Optional[ProcessId] = None):
+        return tuple.__new__(cls, (n, id))
+
+    n = tuple_field(0, "round number")
+    id = tuple_field(1, "owning proposer; None only in the initial round")
 
 
 ROUND_ZERO = Round(0, None)
@@ -68,31 +121,39 @@ def next_explicit_round(observed: Iterable[Round], proposer: ProcessId) -> Round
     return Round(max(r.n for r in rounds) + 1, proposer)
 
 
-@dataclass(frozen=True)
-class ReqID:
+class ReqID(FrozenTuple):
     """Per-write unique identifier: owner pid plus a locally unique counter.
 
     The counter must survive proposer recoveries; (pid, seq) pairs are
     never reused.
     """
 
-    pid: ProcessId
-    seq: int
+    __slots__ = ()
+    _fields = ("pid", "seq")
+
+    def __new__(cls, pid: ProcessId, seq: int):
+        return tuple.__new__(cls, (pid, seq))
+
+    pid = tuple_field(0, "owning proposer")
+    seq = tuple_field(1, "the owner's counter")
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(FrozenTuple):
     """Register value: opaque payload bytes plus an explicit empty flag.
 
     The distinguished empty value is not the same as an empty payload.
     """
 
-    payload: bytes = b""
-    empty: bool = False
+    __slots__ = ()
+    _fields = ("payload", "empty")
 
-    def __post_init__(self) -> None:
-        if self.empty and self.payload:
+    def __new__(cls, payload: bytes = b"", empty: bool = False):
+        if empty and payload:
             raise ValueError("empty value carries no payload")
+        return tuple.__new__(cls, (payload, empty))
+
+    payload = tuple_field(0, "the value's bytes; none when empty")
+    empty = tuple_field(1, "true only for the distinguished empty value")
 
 
 EMPTY = Value(b"", True)

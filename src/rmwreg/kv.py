@@ -92,12 +92,18 @@ class AddCmd(KvCommand):
         return [self.delta]
 
     def apply(self, value: Value) -> Optional[Value]:
+        if not _is_number(self.delta):
+            raise CommandError("add requires a numeric delta")
         current = from_payload(value)
         if current is None:
             current = 0
-        if not isinstance(current, (int, float)) or isinstance(current, bool):
+        if not _is_number(current):
             raise CommandError("add requires a numeric register")
         return to_payload(current + self.delta)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _as_list(value: Value, what: str) -> List[Any]:
@@ -233,6 +239,8 @@ class KvFacade:
             return ("done", from_payload(value))
         if status is Status.NOOP:
             return ("noop", None)
+        if status is Status.ERROR:  # the replica could not apply the command
+            raise CommandError(value.payload.decode("utf-8", "replace"))
         if status is Status.UNAVAILABLE:
             raise Unavailable(f"update of {key!r} could not reach a quorum")
         raise CommandError(f"unexpected update status {status}")

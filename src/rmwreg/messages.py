@@ -10,8 +10,10 @@ per send, and a frozen `__init__` stores each field through
 `object.__setattr__`, about four times the cost. They are unhashable and are
 never reassigned after construction;
 `tests/test_sim.py::test_records_are_never_reassigned` checks that. `Ticket`
-stays a frozen value: it is built once per attempt and shared by the
-attempt's messages.
+is a value, like `core.Round`: a `tuple` subclass with read-only fields,
+hashed and compared as the plain tuple of its fields, so a `Ticket(1, 2)`
+equals `(1, 2)` and a `Round(1, 2)` (see `rmwreg.core`). One is built per
+attempt and shared by the attempt's messages.
 """
 from __future__ import annotations
 
@@ -19,15 +21,20 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ProcessId, ReqID, Round, Value
+from .core import FrozenTuple, ProcessId, ReqID, Round, Value, tuple_field
 
 
-@dataclass(frozen=True)
-class Ticket:
+class Ticket(FrozenTuple):
     """(request, instance) pair; instance counts protocol restarts."""
 
-    request: int
-    instance: int
+    __slots__ = ()
+    _fields = ("request", "instance")
+
+    def __new__(cls, request: int, instance: int):
+        return tuple.__new__(cls, (request, instance))
+
+    request = tuple_field(0, "the proposer's request id")
+    instance = tuple_field(1, "how many times the request restarted")
 
 
 class ReqKind(enum.Enum):

@@ -21,6 +21,7 @@ from .core import (
     MUT_REUSE_ROUND,
     MUT_SKIP_WRITE_THROUGH,
     MUT_SUB_QUORUM,
+    CommandError,
     Config,
     Mode,
     ProcessId,
@@ -104,7 +105,7 @@ class FastToken:
     base_req: Optional[ReqID]
 
 
-@dataclass
+@dataclass(slots=True)
 class Proposal:
     round: Round
     value: Value
@@ -113,9 +114,10 @@ class Proposal:
     writethrough: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
-    """One admitted client request and its protocol attempt state."""
+    """One admitted client request and its protocol attempt state. A read
+    is one with `kind` READ, escalated or not."""
 
     rid: int
     key: bytes
@@ -144,10 +146,6 @@ class Request:
     @property
     def done(self) -> bool:
         return self.phase == "done"
-
-    @property
-    def read_origin(self) -> bool:
-        return self.kind is ReqKind.READ
 
 
 @dataclass
@@ -208,7 +206,7 @@ class Proposer:
     def _new_request(self, key, kind, cmds, clients) -> Request:
         rid = self.next_rid
         self.next_rid += 1
-        req = Request(rid=rid, key=key, kind=kind, cmds=list(cmds), clients=list(clients))
+        req = Request(rid, key, kind, list(cmds), list(clients))
         # Request ids drive the exactly-once machinery, which exists only in
         # RMW mode; the other modes never emit LEARNED.
         if kind is ReqKind.WRITE and self.config.register_mode is Mode.RMW:
@@ -221,7 +219,10 @@ class Proposer:
     def _start(self, req: Request) -> List[Effect]:
         if req.kind is ReqKind.WRITE:
             if self.config.register_mode is Mode.WRITE_ONCE:
-                req.own_value = apply_command(req.cmds[0], EMPTY)
+                try:
+                    req.own_value = apply_command(req.cmds[0], EMPTY)
+                except CommandError as exc:
+                    return self._reply_all(req, Status.ERROR, _error_value(exc))
                 if req.own_value is None:
                     return self._reply_all(req, Status.NOOP, EMPTY)
             token = self.fast.get(req.key)
@@ -235,10 +236,8 @@ class Proposer:
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
         kind = ReqKind.WRITE if (req.kind is ReqKind.WRITE or req.escalated) else ReqKind.READ
-        ticket = Ticket(req.rid, req.instance)
-        effects: List[Effect] = [
-            Send(a, Prepare(req.key, self.pid, kind, ticket)) for a in self._acceptors()
-        ]
+        prepare = Prepare(req.key, self.pid, kind, Ticket(req.rid, req.instance))
+        effects: List[Effect] = [Send(a, prepare) for a in self._acceptors()]
         effects.append(self._arm_timer(req))
         return effects
 
@@ -268,16 +267,17 @@ class Proposer:
         req = self.requests.get(ack.ticket.request)
         if req is None:
             return []
-        if req.read_origin:
+        is_read = req.kind is ReqKind.READ
+        if is_read:
             req.pool.append(ack)
         if ack.ticket.instance != req.instance or req.phase not in ("p1", "p1x"):
-            if req.read_origin:
+            if is_read:
                 return self._evaluate_read_pool(req)
             return []
         req.acks[ack.src] = ack
         req.evidence.append(ack.r_ack)
         req.evidence.append(ack.r_voted)
-        if req.read_origin and not req.escalated:
+        if is_read and not req.escalated:
             return self._evaluate_read(req)
         if len(req.acks) >= self.quorum:
             return self._classify_and_dispatch(req)
@@ -290,7 +290,7 @@ class Proposer:
         # Foreign round evidence: any outstanding fast-write grant is stale.
         self.fast.pop(nack.key, None)
         req.evidence.append(nack.r_ack)
-        if req.read_origin and not req.escalated:
+        if req.kind is ReqKind.READ and not req.escalated:
             return []  # reads are never nacked; stale ticket noise
         return self._retry_explicit(req)
 
@@ -352,11 +352,8 @@ class Proposer:
         req = self.requests[rid]
         if kind == "retry":
             # Backoff expired; run the deferred explicit-round phase 1.
-            ticket = Ticket(req.rid, req.instance)
-            effects: List[Effect] = [
-                Send(a, PaxosPrep(req.key, self.pid, req.pending_round, ticket))
-                for a in self._acceptors()
-            ]
+            prep = PaxosPrep(req.key, self.pid, req.pending_round, Ticket(req.rid, req.instance))
+            effects: List[Effect] = [Send(a, prep) for a in self._acceptors()]
             effects.append(self._arm_timer(req))
             return effects
         # Messages may have been lost (or a quorum crashed); start over.
@@ -467,21 +464,28 @@ class Proposer:
 
     def _apply_commands(self, req: Request, base: Value):
         """Apply the request's commands in admission order; returns the final
-        value (None when nothing changed) plus immediate NOOP replies."""
+        value (None when nothing changed) plus immediate replies: NOOP for a
+        command without effect, ERROR for one that failed. Either leaves the
+        value as it was."""
         current = base
         changed = False
         replies: List[Effect] = []
         pending: List[Tuple[object, int]] = []
         for cmd, (client, seq) in zip(req.cmds, req.clients):
-            result = apply_command(cmd, current)
-            if result is None:
-                if (client, seq) not in req.replied:
-                    req.replied.add((client, seq))
-                    replies.append(Reply(client, Status.NOOP, current, seq))
+            try:
+                result = apply_command(cmd, current)
+            except CommandError as exc:
+                reply = Reply(client, Status.ERROR, _error_value(exc), seq)
             else:
-                current = result
-                changed = True
-                pending.append((client, seq))
+                if result is not None:
+                    current = result
+                    changed = True
+                    pending.append((client, seq))
+                    continue
+                reply = Reply(client, Status.NOOP, current, seq)
+            if (client, seq) not in req.replied:
+                req.replied.add((client, seq))
+                replies.append(reply)
         req.pending_clients = pending
         if not changed:
             return None, replies
@@ -571,7 +575,7 @@ class Proposer:
             for client, seq in targets
             if (client, seq) not in req.replied
         ]
-        req.replied.update((client, seq) for client, seq in targets)
+        req.replied.update(targets)
         self._complete(req)
         return effects
 
@@ -628,6 +632,11 @@ class Proposer:
         else:
             self.batch_timer_armed = False
         return effects
+
+
+def _error_value(exc: CommandError) -> Value:
+    """The value an ERROR reply carries: the failed command's message."""
+    return Value(str(exc).encode())
 
 
 # message type -> the Proposer method that handles it; other types are ignored

@@ -233,19 +233,9 @@ class World:
                 self.tick, client, reply.client_seq, key, reply.status, reply.value, depth
             )
         )
-        self.histories.setdefault(key, []).append(
-            HistoryEvent(
-                kind="respond",
-                client=client,
-                op_index=reply.client_seq,
-                op=kind,
-                key=key,
-                token=token,
-                value=reply.value,
-                status=reply.status,
-                tick=self.tick,
-            )
-        )
+        self.histories.setdefault(key, []).append(HistoryEvent(
+            "respond", client, reply.client_seq, kind, key, token, reply.value, reply.status,
+            self.tick))
         self._schedule_next_op(cs)
 
     def _schedule_next_op(self, cs: _ClientState) -> None:
@@ -278,18 +268,8 @@ class World:
         self.trace.append(
             ClientInvokeEv(self.tick, client, op_index, script.key, spec.kind, token)
         )
-        self.histories.setdefault(script.key, []).append(
-            HistoryEvent(
-                kind="invoke",
-                client=client,
-                op_index=op_index,
-                op=spec.kind,
-                key=script.key,
-                token=token,
-                value=spec.arg,
-                tick=self.tick,
-            )
-        )
+        self.histories.setdefault(script.key, []).append(HistoryEvent(
+            "invoke", client, op_index, spec.kind, script.key, token, spec.arg, None, self.tick))
         if script.proposer in self.down:
             return  # request never admitted; the op stays incomplete
         self.submit(client, script.key, spec.kind, cmd, op_index, token)

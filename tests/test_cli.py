@@ -181,3 +181,20 @@ def test_bad_serve_and_client_input_exits_2(capsys, argv, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error: " in err and message in err
+
+
+def test_client_reports_a_command_the_replica_could_not_apply(capsys):
+    from test_net import free_addresses, start_group
+
+    addrs = free_addresses(3)
+    replicas = start_group(addrs)
+    client = ["client", "--replicas", ",".join(f"{h}:{p}" for h, p in addrs)]
+    try:
+        assert main(client + ["set", '"abc"']) == 0
+        assert main(client + ["add", "1"]) == 1
+        assert "error: add requires a numeric register" in capsys.readouterr().err
+        assert main(client + ["get"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == '"abc"'
+    finally:
+        for r in replicas:
+            r.stop()

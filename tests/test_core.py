@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import json
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +15,7 @@ from rmwreg.core import (
     Mode,
     Ordering,
     ROUND_ZERO,
+    ReqID,
     Round,
     Value,
     apply_command,
@@ -18,6 +24,8 @@ from rmwreg.core import (
     round_less,
     round_sort_key,
 )
+from rmwreg import codec
+from rmwreg.messages import Ticket
 
 rounds = st.builds(
     Round,
@@ -117,3 +125,42 @@ def test_config_validation():
 
 def test_modes_enumerate_cli_names():
     assert {m.value for m in Mode} == {"write-once", "sequence", "rmw"}
+
+
+# (value, the plain tuple of its fields, its repr, its codec kind)
+VALUE_TYPES = [
+    (Round(3, 7), (3, 7), "Round(n=3, id=7)", codec.ROUND),
+    (ROUND_ZERO, (0, None), "Round(n=0, id=None)", codec.ROUND),
+    (ReqID(3, 7), (3, 7), "ReqID(pid=3, seq=7)", codec.OPT_REQ),
+    (Value(b"x"), (b"x", False), "Value(payload=b'x', empty=False)", codec.VALUE),
+    (EMPTY, (b"", True), "Value(payload=b'', empty=True)", codec.VALUE),
+    (Ticket(3, 7), (3, 7), "Ticket(request=3, instance=7)", codec.TICKET),
+]
+
+
+@pytest.mark.parametrize("value,fields,text,kind", VALUE_TYPES, ids=[t for _, _, t, _ in VALUE_TYPES])
+def test_value_types_hash_compare_and_print_as_frozen_records(value, fields, text, kind):
+    """The value types hash as the tuple of their fields, as the frozen
+    dataclasses they replace did, so dict and set order, and with them the
+    traces, do not change."""
+    cls = type(value)
+    assert hash(value) == hash(fields)
+    assert value == cls(*fields) and hash(cls(*fields)) == hash(value)
+    assert repr(value) == text
+    for name in ("n", "pid", "payload", "request"):
+        if hasattr(value, name):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, fields[0])
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(value, cls(*fields))
+        with pytest.raises(TypeError):
+            compare(value, fields)
+    decoded = kind.from_json(json.loads(json.dumps(kind.to_json(value))))
+    assert type(decoded) is cls and decoded == value
+    assert copy.deepcopy(value) == value and type(copy.deepcopy(value)) is cls
+
+
+def test_value_rejects_a_payload_when_empty():
+    with pytest.raises(ValueError):
+        Value(b"x", True)

@@ -33,6 +33,9 @@ def test_add():
     assert kv.AddCmd(3).apply(kv.to_payload(4)) == kv.to_payload(7)
     with pytest.raises(CommandError):
         kv.AddCmd(1).apply(kv.to_payload("nope"))
+    for delta in ("1", True, None, [1]):
+        with pytest.raises(CommandError, match="numeric delta"):
+            kv.AddCmd(delta).apply(kv.to_payload(1))
 
 
 def test_set_insert_remove():
@@ -126,6 +129,17 @@ def test_update_returns_new_value():
     assert f.update(KEY, kv.AddCmd(2)) == ("done", 7)
     assert f.update(KEY, kv.CasCmd(0, 1)) == ("noop", None)
     assert f.get(KEY) == 7
+
+
+def test_update_that_fails_to_apply_raises_and_keeps_the_value():
+    f = driver().facade()
+    f.put(KEY, "abc")
+    with pytest.raises(CommandError, match="add requires a numeric register"):
+        f.update(KEY, kv.AddCmd(1))
+    with pytest.raises(CommandError, match="add requires a numeric delta"):
+        f.update(KEY, kv.decode_command(b'{"op": "add", "args": ["x"]}'))
+    assert f.get(KEY) == "abc"
+    assert f.update(KEY, kv.SetCmd(1)) == ("done", 1)
 
 
 def test_mode_error_for_non_idempotent_in_sequence_mode():

@@ -328,3 +328,17 @@ def test_live_timer_still_restarts_a_request(group, monkeypatch):
     finally:
         client.close()
     assert replicas[0].proposer.stats.restarts >= 1
+
+
+def test_command_that_fails_to_apply_leaves_the_replica_serving(group):
+    addrs, _ = group
+    client = NetClient(addrs[0], retries=0, timeout=5)
+    try:
+        f = client.facade(Mode.RMW)
+        assert f.put(b"k", "abc") == "abc"
+        with pytest.raises(kv.CommandError, match="add requires a numeric register"):
+            f.update(b"k", kv.AddCmd(1))
+        assert f.get(b"k") == "abc"
+        assert f.update(b"k", kv.SetCmd(2)) == ("done", 2)
+    finally:
+        client.close()

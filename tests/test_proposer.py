@@ -4,8 +4,10 @@ messages exist."""
 import random
 from collections import deque
 
+import pytest
+
 from rmwreg.acceptor import Acceptor
-from rmwreg.core import EMPTY, Config, FnCommand, Mode, Round, Value
+from rmwreg.core import EMPTY, CommandError, Config, FnCommand, Mode, Round, Value
 from rmwreg.kv import AddCmd, SetCmd, append_token
 from rmwreg.core import ReqID
 from rmwreg.messages import Ack, Learned, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote, Voted
@@ -315,3 +317,29 @@ def test_timer_live_only_for_the_current_instance_of_an_open_request():
     assert net.replies[-1].status is Status.DONE
     assert not net.proposer.timer_live(second)
     assert net.proposer.timer_live(("batch",))
+
+
+@pytest.mark.parametrize("fast_writes", [True, False])
+def test_command_that_fails_to_apply_gets_one_error_reply(fast_writes):
+    """A failed command is answered like a no-op, with ERROR and the
+    command's message, and leaves the register as it was."""
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW, fast_writes=fast_writes))
+    net.submit(b"k", ReqKind.WRITE, SetCmd("abc"), seq=0)
+    net.submit(b"k", ReqKind.WRITE, AddCmd(1), seq=1)
+    assert [(r.status, r.client_seq) for r in net.replies] == [(Status.DONE, 0), (Status.ERROR, 1)]
+    assert net.replies[1].value == Value(b"add requires a numeric register")
+    assert not net.proposer.requests
+    net.fire_timers()
+    net.submit(b"k", ReqKind.READ, seq=2)
+    assert len(net.replies) == 3
+    assert (net.replies[2].status, net.replies[2].value) == (Status.DONE, Value(b'"abc"'))
+
+
+def test_write_once_command_that_fails_gets_an_error_reply():
+    def fail(value):
+        raise CommandError("no literal")
+
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.WRITE_ONCE))
+    net.submit(b"k", ReqKind.WRITE, FnCommand(fail), seq=0)
+    assert [(r.status, r.value) for r in net.replies] == [(Status.ERROR, Value(b"no literal"))]
+    assert not net.sent

@@ -288,7 +288,7 @@ def test_records_are_never_reassigned():
     for frozen in (Round(1, 0), ReqID(0, 1), Value(b"x"), Ticket(0, 1)):
         hash(frozen)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(frozen, dataclasses.fields(frozen)[0].name, None)
+            setattr(frozen, frozen._fields[0], None)
     try:
         for cls in RECORDS:
             cls.__setattr__ = _write_once
