@@ -222,7 +222,7 @@ class Proposer:
                 try:
                     req.own_value = apply_command(req.cmds[0], EMPTY)
                 except CommandError as exc:
-                    return self._reply_all(req, Status.ERROR, _error_value(exc))
+                    return self._reply_all(req, Status.ERROR, Value(str(exc).encode()))
                 if req.own_value is None:
                     return self._reply_all(req, Status.NOOP, EMPTY)
             token = self.fast.get(req.key)
@@ -475,7 +475,7 @@ class Proposer:
             try:
                 result = apply_command(cmd, current)
             except CommandError as exc:
-                reply = Reply(client, Status.ERROR, _error_value(exc), seq)
+                reply = Reply(client, Status.ERROR, Value(str(exc).encode()), seq)
             else:
                 if result is not None:
                     current = result
@@ -632,11 +632,6 @@ class Proposer:
         else:
             self.batch_timer_armed = False
         return effects
-
-
-def _error_value(exc: CommandError) -> Value:
-    """The value an ERROR reply carries: the failed command's message."""
-    return Value(str(exc).encode())
 
 
 # message type -> the Proposer method that handles it; other types are ignored
