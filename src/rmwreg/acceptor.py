@@ -18,13 +18,11 @@ from .core import (
     EMPTY,
     MUT_VOTE_BELOW_PROMISE,
     Config,
-    Ordering,
     ProcessId,
     ReqID,
     Round,
     ROUND_ZERO,
     Value,
-    round_compare,
 )
 from .messages import Ack, Learned, Nack, PaxosPrep, Prepare, ReqKind, Vote, Voted
 
@@ -94,25 +92,29 @@ class Acceptor:
             incremented = False
         return [(msg.src, self._ack(msg.key, msg.ticket, state, incremented))]
 
+    # The two handlers below test `core.round_compare`'s LESS and EQUAL
+    # directly on the fields: LESS is `n <`, EQUAL is equality of the
+    # (n, id) tuples.
+
     def handle_prepare_explicit(self, msg: PaxosPrep) -> List[Send]:
-        state = self.cell(msg.key)
-        if round_compare(state.r_ack, msg.round) is Ordering.LESS:
+        key = msg.key
+        state = self.cells.get(key, INITIAL_STATE)
+        if state.r_ack.n < msg.round.n:
             state = AcceptorState(msg.round, state.val, state.r_voted, state.req)
-            self.cells[msg.key] = state
-            return [(msg.src, self._ack(msg.key, msg.ticket, state, True))]
+            self.cells[key] = state
+            return [(msg.src, self._ack(key, msg.ticket, state, True))]
         # Incomparable rounds are rejected too: acknowledging them would
         # allow two proposals to share a round number.
-        return [(msg.src, Nack(msg.key, self.pid, msg.ticket, state.r_ack))]
+        return [(msg.src, Nack(key, self.pid, msg.ticket, state.r_ack))]
 
     def handle_vote(self, msg: Vote) -> List[Send]:
-        state = self.cell(msg.key)
-        accept = round_compare(msg.round, state.r_ack) is Ordering.EQUAL
-        if MUT_VOTE_BELOW_PROMISE in self.config.mutations:
-            accept = True
-        if not accept:
-            return [(msg.src, Nack(msg.key, self.pid, msg.ticket, state.r_ack))]
+        key = msg.key
+        state = self.cells.get(key, INITIAL_STATE)
+        rnd = msg.round
+        if rnd != state.r_ack and MUT_VOTE_BELOW_PROMISE not in self.config.mutations:
+            return [(msg.src, Nack(key, self.pid, msg.ticket, state.r_ack))]
 
-        assert round_compare(msg.round, state.r_ack) is not Ordering.LESS or (
+        assert not rnd.n < state.r_ack.n or (
             MUT_VOTE_BELOW_PROMISE in self.config.mutations
         ), "acceptor must never vote below its promise"
 
@@ -120,13 +122,13 @@ class Acceptor:
         if self.config.fast_writes:
             # Behave as if a Prepare from the same proposer arrived right
             # after voting, so it may skip phase 1 next time.
-            r_ack = Round(msg.round.n + 1, msg.round.id)
-        self.cells[msg.key] = AcceptorState(r_ack, msg.value, msg.round, msg.req_cur)
+            r_ack = Round(rnd.n + 1, rnd.id)
+        self.cells[key] = AcceptorState(r_ack, msg.value, rnd, msg.req_cur)
         out: List[Send] = [
-            (msg.src, Voted(msg.key, self.pid, msg.ticket, msg.round, msg.value))
+            (msg.src, Voted(key, self.pid, msg.ticket, rnd, msg.value))
         ]
         if msg.req_prev is not None:
-            out.append((msg.req_prev.pid, Learned(msg.key, self.pid, msg.req_prev)))
+            out.append((msg.req_prev.pid, Learned(key, self.pid, msg.req_prev)))
         return out
 
     def _ack(self, key: bytes, ticket, state: AcceptorState, incremented: bool) -> Ack:

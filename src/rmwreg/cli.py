@@ -32,6 +32,7 @@ from .sim import (
     SendEv,
     SimConfig,
     StateSnapshotEv,
+    World,
     random_crash_plan,
     run_workload,
 )
@@ -112,21 +113,31 @@ def _op_from_json(rec: dict) -> OpSpec:
 
 
 def load_scripts(path: str) -> Tuple[List[ClientScript], tuple]:
-    spec = json.loads(Path(path).read_text())
+    """Raises OSError when `path` cannot be read and ValueError when it is
+    not a workload script."""
+    text = Path(path).read_text()
     scripts = []
-    for rec in spec["clients"]:
-        scripts.append(
-            ClientScript(
-                client=rec["client"],
-                proposer=PROPOSER_BASE + rec.get("proposer", rec["client"]),
-                ops=tuple(_op_from_json(o) for o in rec["ops"]),
-                key=rec.get("key", "r").encode(),
-                start_tick=rec.get("start_tick", 0),
-                think=rec.get("think", 0),
-                loop_until=rec.get("loop_until"),
+    try:
+        spec = json.loads(text)
+        for rec in spec["clients"]:
+            scripts.append(
+                ClientScript(
+                    client=rec["client"],
+                    proposer=PROPOSER_BASE + rec.get("proposer", rec["client"]),
+                    ops=tuple(_op_from_json(o) for o in rec["ops"]),
+                    key=rec.get("key", "r").encode(),
+                    start_tick=rec.get("start_tick", 0),
+                    think=rec.get("think", 0),
+                    loop_until=rec.get("loop_until"),
+                )
             )
-        )
-    crash_plan = tuple((t, pid, act) for t, pid, act in spec.get("crash_plan", []))
+        crash_plan = tuple((t, pid, act) for t, pid, act in spec.get("crash_plan", []))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"script {path}: not JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"script {path}: missing field {exc}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"script {path}: malformed: {exc}") from None
     return scripts, crash_plan
 
 
@@ -155,44 +166,57 @@ def check_result(mode: Mode, result, n_acceptors: int) -> checker.Verdict:
     return verdict
 
 
+def _fuzz_sim_config(args, seed: int, scripts, fixed_crash) -> SimConfig:
+    if fixed_crash is not None:
+        crash_plan = fixed_crash
+    elif args.crashes:
+        crash_plan = random_crash_plan(
+            seed, args.replicas, args.crashes, 200, [s.proposer for s in scripts]
+        )
+    else:
+        crash_plan = ()
+    return SimConfig(
+        seed=seed,
+        fifo=args.fifo,
+        drop=args.drop,
+        dup=args.dup,
+        max_delay=args.delay,
+        crash_plan=crash_plan,
+        max_steps=args.max_steps,
+    )
+
+
 def cmd_fuzz(args) -> int:
     mode = _parse_mode(args.mode)
     mutations = frozenset(args.mutate or [])
-    config = Config(
-        n_acceptors=args.replicas,
-        register_mode=mode,
-        read_retry_limit=args.retries,
-        fast_writes=args.fast_writes,
-        batch_interval=args.batch_interval,
-        mutations=mutations,
-    )
-    if args.script:
-        scripts, fixed_crash = load_scripts(args.script)
-    else:
-        scripts, fixed_crash = default_scripts(mode), None
-
     seeds = args.seeds
+    # Bad input is reported before the first seed runs.
+    try:
+        if args.max_steps < 1:
+            raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
+        config = Config(
+            n_acceptors=args.replicas,
+            register_mode=mode,
+            read_retry_limit=args.retries,
+            fast_writes=args.fast_writes,
+            batch_interval=args.batch_interval,
+            mutations=mutations,
+        )
+        if args.script:
+            scripts, fixed_crash = load_scripts(args.script)
+        else:
+            scripts, fixed_crash = default_scripts(mode), None
+        # The crash plan and World check the rest: links, delay and scripts.
+        World(config, _fuzz_sim_config(args, seeds.start, scripts, fixed_crash), scripts)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     verdicts = {}
     first_counterexample: Optional[str] = None
     started = time.monotonic()
     for seed in seeds:
-        if fixed_crash is not None:
-            crash_plan = fixed_crash
-        elif args.crashes > 0:
-            crash_plan = random_crash_plan(
-                seed, args.replicas, args.crashes, 200, [s.proposer for s in scripts]
-            )
-        else:
-            crash_plan = ()
-        sim = SimConfig(
-            seed=seed,
-            fifo=args.fifo,
-            drop=args.drop,
-            dup=args.dup,
-            max_delay=args.delay,
-            crash_plan=crash_plan,
-            max_steps=args.max_steps,
-        )
+        sim = _fuzz_sim_config(args, seed, scripts, fixed_crash)
         result = run_workload(config, sim, scripts)
         verdict = check_result(mode, result, args.replicas)
         verdicts[seed] = verdict

@@ -193,6 +193,23 @@ def apply_command(cmd: UpdateCommand, value: Value) -> Optional[Value]:
     return result
 
 
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """`randrange(n)` of the generator whose `getrandbits` is given, for
+    n >= 1, taking the same bits: `random.Random._randbelow`'s rejection
+    loop, without `randint`'s and `randrange`'s argument handling on the way
+    to it. Seeded runs draw their picks, delays and backoffs with it, so a
+    seed gives the trace that `randrange`/`randint` calls would.
+
+    n == 1 still draws, as `randrange(1)` does; skipping that draw would
+    shift every later one. n < 1 would loop forever.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class Mode(enum.Enum):
     WRITE_ONCE = "write-once"
     SEQUENCE = "sequence"

@@ -19,8 +19,14 @@ from .core import EMPTY, CommandError, Mode, UpdateCommand, Value
 from .messages import ReqKind, Status
 
 
+# The canonical JSON form of payloads, commands and set members. json.dumps
+# with these arguments would build a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode = _ENCODER.encode
+
+
 def to_payload(obj: Any) -> Value:
-    return Value(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    return Value(_encode(obj).encode("utf-8"))
 
 
 def from_payload(value: Value) -> Any:
@@ -35,7 +41,7 @@ def from_payload(value: Value) -> Any:
 
 def _elem_sort_key(elem: Any) -> str:
     # Stable order for heterogeneous set members keeps payloads canonical.
-    return json.dumps(elem, sort_keys=True, separators=(",", ":"))
+    return _encode(elem)
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +56,7 @@ class KvCommand(UpdateCommand):
         raise NotImplementedError
 
     def encode(self) -> bytes:
-        return json.dumps(
-            {"op": self.op, "args": self.args()}, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return _encode({"op": self.op, "args": self.args()}).encode("utf-8")
 
 
 @dataclass(frozen=True)

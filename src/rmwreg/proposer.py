@@ -31,6 +31,7 @@ from .core import (
     Value,
     apply_command,
     next_explicit_round,
+    randbelow,
     round_sort_key,
 )
 from .messages import (
@@ -204,9 +205,10 @@ class Proposer:
         return self._start(req)
 
     def _new_request(self, key, kind, cmds, clients) -> Request:
+        """The request takes ownership of the `cmds` and `clients` lists."""
         rid = self.next_rid
         self.next_rid += 1
-        req = Request(rid, key, kind, list(cmds), list(clients))
+        req = Request(rid, key, kind, cmds, clients)
         # Request ids drive the exactly-once machinery, which exists only in
         # RMW mode; the other modes never emit LEARNED.
         if kind is ReqKind.WRITE and self.config.register_mode is Mode.RMW:
@@ -242,8 +244,9 @@ class Proposer:
         return effects
 
     def _arm_timer(self, req: Request) -> SetTimer:
-        delay = REQUEST_TIMEOUT_TICKS + self.rng.randint(0, REQUEST_TIMEOUT_TICKS // 2)
-        return SetTimer(delay, ("req", req.rid, req.instance))
+        # randint(0, REQUEST_TIMEOUT_TICKS // 2), drawn without its wrappers
+        jitter = randbelow(self.rng.getrandbits, REQUEST_TIMEOUT_TICKS // 2 + 1)
+        return SetTimer(REQUEST_TIMEOUT_TICKS + jitter, ("req", req.rid, req.instance))
 
     def _fast_write(self, req: Request, token: FastToken) -> List[Effect]:
         del self.fast[req.key]  # consumed; refreshed on success
@@ -400,19 +403,22 @@ class Proposer:
     # -- write path ----------------------------------------------------------
 
     def _classify_and_dispatch(self, req: Request) -> List[Effect]:
-        view = QuorumView(required=self.quorum, replies=dict(req.acks))
+        # The view lives only for this call, and nothing below adds to
+        # `req.acks` (a reset replaces the dict), so it need not be copied.
+        view = QuorumView(self.quorum, req.acks)
         outcome = classify(view, ReqKind.WRITE, self.pid)
 
-        if isinstance(outcome, ValueChosen):
+        kind = type(outcome)
+        if kind is ValueChosen:
             return self._on_value_chosen(req, view, outcome)
-        if isinstance(outcome, ReadyToPropose):
+        if kind is ReadyToPropose:
             mode = outcome.mode
-            if isinstance(mode, MustWriteThrough) and MUT_SKIP_WRITE_THROUGH in self.config.mutations:
+            if type(mode) is MustWriteThrough and MUT_SKIP_WRITE_THROUGH in self.config.mutations:
                 mode = Fresh()
-            if isinstance(mode, Fresh):
+            if type(mode) is Fresh:
                 return self._on_fresh(req, outcome.round)
             return self._on_write_through(req, outcome.round, mode)
-        if isinstance(outcome, Retry):
+        if kind is Retry:
             return self._retry_explicit(req)
         # EmptyConfirmed cannot occur: the write path always classifies with
         # request kind WRITE.
@@ -551,7 +557,8 @@ class Proposer:
         # Retrying immediately lets duelling proposers invalidate each other
         # forever; a randomized, growing pause lets one of them finish.
         req.backoff = min(max(2 * req.backoff, 4), REQUEST_TIMEOUT_TICKS)
-        return [SetTimer(self.rng.randint(1, req.backoff), ("retry", req.rid, req.instance))]
+        delay = 1 + randbelow(self.rng.getrandbits, req.backoff)  # randint(1, req.backoff)
+        return [SetTimer(delay, ("retry", req.rid, req.instance))]
 
     # -- completion ----------------------------------------------------------
 

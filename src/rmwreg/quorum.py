@@ -3,7 +3,8 @@
 A quorum view is a set of phase-1 replies from distinct acceptors. `cons`
 and `max_by` are the two reply-set reductions everything else is built on;
 `classify` turns a view into one of the phase-1 outcomes the proposer
-dispatches on.
+dispatches on. The outcomes are slotted records, like the messages: one is
+built per classification, and none is reassigned after construction.
 """
 from __future__ import annotations
 
@@ -12,13 +13,11 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from .core import (
     ROUND_ZERO,
-    Ordering,
     ProcessId,
     ReqID,
     Round,
     Value,
     next_explicit_round,
-    round_compare,
     round_sort_key,
 )
 from .messages import Ack, ReqKind
@@ -78,10 +77,10 @@ def cons(view: QuorumView, selector: str):
     Inconsistent marker. Precondition: at least one reply."""
     if not view.replies:
         raise ValueError("cons over empty view")
-    values = [getattr(r, selector) for r in view.replies.values()]
-    first = values[0]
-    for v in values[1:]:
-        if v != first:
+    replies = iter(view.replies.values())
+    first = getattr(next(replies), selector)
+    for r in replies:
+        if getattr(r, selector) != first:
             return INCONSISTENT
     return first
 
@@ -104,36 +103,36 @@ def max_by(view: QuorumView, key_selector: str, value_selector: str):
 # phase-1 outcomes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ValueChosen:
     value: Value
     r_voted: Round
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EmptyConfirmed:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fresh:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MustWriteThrough:
     value: Value
     r_voted: Round
     req: Optional[ReqID]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadyToPropose:
     round: Round
     mode: Union[Fresh, MustWriteThrough]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Retry:
     next_round: Round
 

@@ -13,9 +13,14 @@ mandatory for RMW mode.
 Simulated time is a tick counter; message delay is sampled uniformly from
 [1, max_delay] ticks.
 
-Picks and delays are drawn by `World._below`, `randrange` rebuilt on
-`getrandbits`: it takes the same bits, so a seed gives the trace that
-`randrange`/`randint` calls would.
+Picks and delays are drawn by `core.randbelow`, `randrange` rebuilt on
+`getrandbits` (`World._below`, and inline on the per-message paths): it
+takes the same bits, so a seed gives the trace that `randrange`/`randint`
+calls would.
+
+A `SendEv` is both the trace record of a send and the scheduler entry of
+its delivery: the bucket holds the record itself (twice for a duplicate).
+Timer, invoke, crash and recover entries are tuples tagged by kind.
 """
 from __future__ import annotations
 
@@ -24,9 +29,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .acceptor import Acceptor
+from .acceptor import INITIAL_STATE, Acceptor
 from .checker import HistoryEvent
-from .core import PROPOSER_BASE, Config, Mode, ProcessId, UpdateCommand, Value
+from .core import PROPOSER_BASE, Config, Mode, ProcessId, UpdateCommand, Value, randbelow
 from .messages import ReqKind
 from .proposer import Proposer, Reply, Send, SetTimer
 from .trace import (  # the serializers are re-exported for callers of this module
@@ -120,6 +125,9 @@ class World:
             raise ValueError("RMW mode requires reliable FIFO links")
         if sim.max_delay < 1:
             raise ValueError(f"max_delay must be at least 1 tick, got {sim.max_delay}")
+        for name, p in (("drop", sim.drop), ("dup", sim.dup)):
+            if not 0 <= p <= 1:
+                raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
         self.config = config
         self.sim = sim
         self.rng = random.Random(sim.seed)
@@ -127,6 +135,9 @@ class World:
         self.acceptors = {pid: Acceptor(pid, config) for pid in range(config.n_acceptors)}
         self.proposers: Dict[ProcessId, Proposer] = {}
         for script in scripts:
+            if not script.ops and script.loop_until is not None:
+                raise ValueError(f"client {script.client} loops until tick "
+                                 f"{script.loop_until} over an empty op list")
             if script.proposer not in self.proposers:
                 self.proposers[script.proposer] = Proposer(
                     script.proposer, config, random.Random(f"{sim.seed}/{script.proposer}")
@@ -139,7 +150,7 @@ class World:
         self.tick = 0
         self.steps = 0
         self.due_ticks: List[int] = []  # heap of the ticks that have a bucket
-        self.buckets: Dict[int, List[tuple]] = {}  # tick -> entries in push order
+        self.buckets: Dict[int, list] = {}  # tick -> entries in push order
         self.fifo_last: Dict[Tuple[ProcessId, ProcessId], int] = {}
         for script in scripts:
             self._push(script.start_tick, ("invoke", script.client))
@@ -148,7 +159,7 @@ class World:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _push(self, tick: int, entry: tuple) -> None:
+    def _push(self, tick: int, entry) -> None:
         bucket = self.buckets.get(tick)
         if bucket is None:
             self.buckets[tick] = [entry]
@@ -157,21 +168,12 @@ class World:
             bucket.append(entry)
 
     def _below(self, n: int) -> int:
-        """`rng.randrange(n)` for n >= 1 without its argument checks, taking
-        the same bits: `random.Random._randbelow`'s rejection loop.
+        """`rng.randrange(n)` for n >= 1 (`core.randbelow`). `_pop_random`
+        and `_schedule_send` run the same loop inline. n < 1 would loop
+        forever, which is why `World` rejects `max_delay < 1`."""
+        return randbelow(self._getrandbits, n)
 
-        n == 1 still draws, as `randrange(1)` does; skipping that draw would
-        shift every later one. n < 1 would loop forever, which is why
-        `World` rejects `max_delay < 1`.
-        """
-        getrandbits = self._getrandbits
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    def _pop_random(self) -> Tuple[int, tuple]:
+    def _pop_random(self):
         """Pop one event uniformly at random among those due earliest.
 
         Once the world runs, no push is due earlier than the current tick, so
@@ -181,34 +183,52 @@ class World:
         """
         tick = self.due_ticks[0]
         bucket = self.buckets[tick]
-        entry = bucket.pop(self._below(len(bucket)))
-        if not bucket:
+        n = len(bucket)
+        getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        entry = bucket.pop(r)
+        if n == 1:
             heapq.heappop(self.due_ticks)
             del self.buckets[tick]
         return tick, entry
 
     def _schedule_send(self, src: ProcessId, dst: ProcessId, msg, depth: int) -> None:
         idx = self.send_count
-        self.send_count += 1
+        self.send_count = idx + 1
         tick = self.tick
         sim = self.sim
-        self.trace.append(SendEv(idx, tick, src, dst, msg, depth))
-        entry = ("deliver", idx, msg, src, dst, depth)
-        if sim.fifo:
-            due = tick + 1 + self._below(sim.max_delay)
-            last = self.fifo_last.get((src, dst), 0)
-            if due <= last:
-                due = last + 1  # strict per-pair order
-            self.fifo_last[(src, dst)] = due
-            self._push(due, entry)
-            return
-        if self.rng.random() < sim.drop:
+        ev = SendEv(idx, tick, src, dst, msg, depth)
+        self.trace.append(ev)
+        # A lossy link draws loss, then the delay, then duplication: every
+        # trace depends on that order.
+        if not sim.fifo and self.rng.random() < sim.drop:
             self.trace.append(DropEv(tick, idx, "loss"))
             return
-        self._push(tick + 1 + self._below(sim.max_delay), entry)
-        if self.rng.random() < sim.dup:
+        n = sim.max_delay
+        getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        due = tick + 1 + r
+        if sim.fifo:
+            pair = (src, dst)
+            last = self.fifo_last.get(pair, 0)
+            if due <= last:
+                due = last + 1  # strict per-pair order
+            self.fifo_last[pair] = due
+        bucket = self.buckets.get(due)
+        if bucket is None:
+            self.buckets[due] = [ev]
+            heapq.heappush(self.due_ticks, due)
+        else:
+            bucket.append(ev)
+        if not sim.fifo and self.rng.random() < sim.dup:
             self.trace.append(DuplicateEv(tick, idx))
-            self._push(tick + 1 + self._below(sim.max_delay), entry)
+            self._push(tick + 1 + self._below(n), ev)
 
     # -- effect processing ----------------------------------------------------
 
@@ -287,25 +307,31 @@ class World:
         effects = self.proposers[pid].submit(key, kind, cmd, client, op_index)
         self._apply_proposer_effects(pid, effects, depth=0)
 
-    def _deliver(self, idx: int, msg, src: ProcessId, dst: ProcessId, depth: int) -> None:
+    def _deliver(self, ev: SendEv) -> None:
+        dst = ev.dst
         if dst in self.down:
-            self.trace.append(DropEv(self.tick, idx, "crashed"))
+            self.trace.append(DropEv(self.tick, ev.idx, "crashed"))
             return
-        self.trace.append(DeliverEv(self.tick, idx))
-        if dst in self.acceptors:
-            acceptor = self.acceptors[dst]
-            before = acceptor.cell(msg.key)
+        self.trace.append(DeliverEv(self.tick, ev.idx))
+        acceptor = self.acceptors.get(dst)
+        if acceptor is not None:
+            msg = ev.msg
+            key = msg.key
+            cells = acceptor.cells
+            before = cells.get(key, INITIAL_STATE)
             outs = acceptor.handle(msg)
-            after = acceptor.cell(msg.key)
+            after = cells.get(key, INITIAL_STATE)
             # Most messages leave the cell object in place; only a new one
             # needs the field-by-field comparison.
             if after is not before and after != before:
-                self.trace.append(StateSnapshotEv(self.tick, dst, msg.key, after))
+                self.trace.append(StateSnapshotEv(self.tick, dst, key, after))
+            depth = ev.depth + 1
             for target, out in outs:
-                self._schedule_send(dst, target, out, depth + 1)
-        elif dst in self.proposers:
-            effects = self.proposers[dst].on_message(msg)
-            self._apply_proposer_effects(dst, effects, depth)
+                self._schedule_send(dst, target, out, depth)
+            return
+        proposer = self.proposers.get(dst)
+        if proposer is not None:
+            self._apply_proposer_effects(dst, proposer.on_message(ev.msg), ev.depth)
         # messages to unknown pids are silently discarded
 
     # -- main loop -------------------------------------------------------------
@@ -317,11 +343,11 @@ class World:
         tick, entry = self._pop_random()
         self.tick = tick
         self.steps += 1
+        if type(entry) is SendEv:
+            self._deliver(entry)
+            return True
         kind = entry[0]
-        if kind == "deliver":
-            _, idx, msg, src, dst, depth = entry
-            self._deliver(idx, msg, src, dst, depth)
-        elif kind == "timer":
+        if kind == "timer":
             _, pid, token = entry
             if pid not in self.down:
                 effects = self.proposers[pid].on_timer(token)
@@ -361,6 +387,9 @@ def random_crash_plan(
     """Seed-derived fault schedule: up to `max_crashes` acceptor crashes and
     at most one proposer crash, each optionally recovering within the
     horizon. Deterministic in `seed`."""
+    if not 0 <= max_crashes <= n_acceptors:
+        raise ValueError(f"max_crashes must be between 0 and n_acceptors ({n_acceptors}), "
+                         f"got {max_crashes}")
     rng = random.Random(f"{seed}:crash")
     plan = []
     for pid in rng.sample(range(n_acceptors), rng.randint(0, max_crashes)):

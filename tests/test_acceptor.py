@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rmwreg.acceptor import Acceptor, AcceptorState, INITIAL_STATE
 from rmwreg.core import (
     EMPTY,
     MUT_VOTE_BELOW_PROMISE,
     Config,
+    Ordering,
     ReqID,
     ROUND_ZERO,
     Round,
     Value,
+    round_compare,
 )
 from rmwreg.messages import (
     Ack,
@@ -189,3 +192,52 @@ def test_crash_recovery_is_omission():
             crashed.handle(m)
     assert crashed.cell(KEY) == witness.cell(KEY)
     assert crashed.state_hash() == witness.state_hash()
+
+
+# ---------------------------------------------------------------------------
+# the promise and vote checks against a reference built on round_compare
+
+# Few round numbers and ids, so equal and incomparable pairs are common;
+# id None stands for the initial round's owner.
+rounds = st.builds(Round, st.integers(min_value=0, max_value=3),
+                   st.one_of(st.none(), st.integers(min_value=0, max_value=2)))
+req_ids = st.one_of(st.none(), st.builds(ReqID, st.integers(min_value=1000, max_value=1001),
+                                         st.integers(min_value=0, max_value=2)))
+cells = st.one_of(st.none(), st.builds(
+    AcceptorState, rounds, st.sampled_from([EMPTY, Value(b"a"), Value(b"b")]), rounds, req_ids))
+
+
+def reference_prepare_explicit(pid, state, msg):
+    if round_compare(state.r_ack, msg.round) is Ordering.LESS:
+        state = AcceptorState(msg.round, state.val, state.r_voted, state.req)
+        return [(msg.src, Ack(msg.key, pid, msg.ticket, state.r_ack, state.val, state.r_voted,
+                              state.req, True))], state
+    return [(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
+
+
+def reference_vote(pid, state, msg, fast_writes, vote_below_promise):
+    if round_compare(msg.round, state.r_ack) is not Ordering.EQUAL and not vote_below_promise:
+        return [(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
+    r_ack = Round(msg.round.n + 1, msg.round.id) if fast_writes else state.r_ack
+    out = [(msg.src, Voted(msg.key, pid, msg.ticket, msg.round, msg.value))]
+    if msg.req_prev is not None:
+        out.append((msg.req_prev.pid, Learned(msg.key, pid, msg.req_prev)))
+    return out, AcceptorState(r_ack, msg.value, msg.round, msg.req_cur)
+
+
+@given(cells, rounds, req_ids, req_ids, st.booleans(), st.booleans(), st.booleans())
+def test_promise_and_vote_checks_match_round_compare(cell, rnd, req_cur, req_prev,
+                                                     fast_writes, vote_below_promise, vote):
+    mutations = frozenset({MUT_VOTE_BELOW_PROMISE}) if vote_below_promise else frozenset()
+    a = make(fast_writes=fast_writes, mutations=mutations)
+    if cell is not None:
+        a.cells[KEY] = cell
+    before = a.cell(KEY)
+    src = 1001 if rnd.id is None else rnd.id
+    if vote:
+        msg = Vote(KEY, src, rnd, Value(b"v"), req_cur, req_prev, T)
+        expected = reference_vote(a.pid, before, msg, fast_writes, vote_below_promise)
+    else:
+        msg = PaxosPrep(KEY, src, rnd, T)
+        expected = reference_prepare_explicit(a.pid, before, msg)
+    assert (a.handle(msg), a.cell(KEY)) == expected

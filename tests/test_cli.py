@@ -134,12 +134,61 @@ def test_replay_missing_file(tmp_path, capsys):
     assert rc == 2
 
 
-def test_unknown_scripted_op_rejected(tmp_path):
+def test_unknown_scripted_op_rejected(tmp_path, capsys):
     script = tmp_path / "w.json"
     script.write_text(json.dumps(
         {"clients": [{"client": 0, "ops": [{"op": "explode"}]}]}))
-    with pytest.raises(ValueError):
-        main(["fuzz", "--seeds", "0:1", "--script", str(script)])
+    assert main(["fuzz", "--seeds", "0:1", "--script", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: unknown scripted op 'explode'\n"
+    assert out == ""
+
+
+MISSING = "missing"  # as `script`: --script names a file that does not exist
+
+
+@pytest.mark.parametrize("argv, script, message", [
+    pytest.param(["--delay", "0"], None, "max_delay must be at least 1 tick", id="delay-0"),
+    pytest.param(["--crashes", "5", "--replicas", "3"], None,
+                 "max_crashes must be between 0 and n_acceptors (3), got 5",
+                 id="more-crashes-than-replicas"),
+    pytest.param(["--crashes", "-1"], None, "max_crashes must be between 0",
+                 id="negative-crashes"),
+    pytest.param(["--replicas", "0"], None, "need at least one acceptor", id="replicas-0"),
+    pytest.param(["--retries", "-1"], None, "read retry limit must be non-negative",
+                 id="retries-negative"),
+    pytest.param(["--batch-interval", "-1"], None, "batch interval must be non-negative",
+                 id="batch-interval-negative"),
+    pytest.param(["--mode", "rmw", "--no-fifo"], None, "RMW mode requires reliable FIFO links",
+                 id="rmw-without-fifo"),
+    pytest.param(["--mode", "sequence", "--no-fifo", "--drop", "1.5"], None,
+                 "drop must be a probability in [0, 1], got 1.5", id="drop-above-1"),
+    pytest.param(["--mode", "sequence", "--no-fifo", "--dup", "-0.1"], None,
+                 "dup must be a probability in [0, 1], got -0.1", id="dup-below-0"),
+    pytest.param(["--max-steps", "0"], None, "--max-steps must be at least 1, got 0",
+                 id="max-steps-0"),
+    pytest.param([], MISSING, "No such file or directory", id="script-missing"),
+    pytest.param([], {"crash_plan": []}, "missing field 'clients'",
+                 id="script-without-clients"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [], "loop_until": 50}]},
+                 "client 0 loops until tick 50 over an empty op list",
+                 id="script-empty-looping-client"),
+])
+def test_bad_fuzz_input_exits_2_before_any_seed(tmp_path, capsys, argv, script, message):
+    if script is not None:
+        path = tmp_path / "w.json"
+        if script != MISSING:
+            path.write_text(json.dumps(script))
+        argv = [*argv, "--script", str(path)]
+    try:
+        rc = main(["fuzz", "--seeds", "0:2", *argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no seed ran
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
 
 
 def test_mode_flag_validated(capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from rmwreg import acceptor, checker, kv, messages, proposer
+from rmwreg import acceptor, checker, kv, messages, proposer, quorum
 from rmwreg.core import Config, Mode, ReqID, Round, Value
 from rmwreg.messages import ReqKind, Status, Ticket
 from rmwreg.sim import (
@@ -70,6 +70,53 @@ def test_below_draws_the_randrange_stream():
             if i % 3 == 0:
                 assert world.rng.random() == ref.random()
         assert world.rng.getstate() == ref.getstate()
+
+
+def test_proposer_draws_the_randint_stream():
+    """The proposer's timeout jitter must be `randint(0, 30)` and its retry
+    backoff `randint(1, b)`, draw for draw, with the backoff bound b going
+    4, 8, 16, 32, 60 and `random()` calls interleaved. `random`'s internals
+    differ between versions; the stream they give may not."""
+    cfg = Config(n_acceptors=3, register_mode=Mode.SEQUENCE)
+    for seed in range(4):
+        p = proposer.Proposer(1000, cfg, random.Random(seed))
+        ref = random.Random(seed)
+        req = p._new_request(b"k", ReqKind.WRITE, [kv.AddCmd(1)], [(0, 0)])
+        for i in range(400):
+            timer = p._arm_timer(req)
+            assert timer.delay == proposer.REQUEST_TIMEOUT_TICKS + ref.randint(0, 30)
+            req.backoff = 0
+            for b in (4, 8, 16, 32, 60):
+                req.evidence = [Round(1, 0)]
+                [timer] = p._retry_explicit(req)
+                assert req.backoff == b
+                assert timer.delay == ref.randint(1, b)
+                if i % 3 == 0:
+                    assert p.rng.random() == ref.random()
+        assert p.rng.getstate() == ref.getstate()
+
+
+def test_looping_client_without_ops_rejected():
+    cfg = Config(n_acceptors=3, register_mode=Mode.SEQUENCE)
+    with pytest.raises(ValueError, match="client 0 loops until tick 50 over an empty op list"):
+        World(cfg, SimConfig(seed=0), [script(0, (), loop_until=50)])
+    # Without loop_until an empty script just has nothing to issue.
+    assert run_workload(cfg, SimConfig(seed=0), [script(0, ())]).trace == []
+
+
+@pytest.mark.parametrize("field", ["drop", "dup"])
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_link_probabilities_outside_0_1_rejected(field, p):
+    cfg = Config(n_acceptors=3, register_mode=Mode.SEQUENCE)
+    with pytest.raises(ValueError, match=f"{field} must be a probability"):
+        World(cfg, SimConfig(seed=0, fifo=False, **{field: p}), [script(0, (W,))])
+
+
+def test_random_crash_plan_rejects_more_crashes_than_acceptors():
+    for max_crashes in (4, -1):
+        with pytest.raises(ValueError, match="max_crashes .* n_acceptors"):
+            random_crash_plan(0, 3, max_crashes, 100)
+    random_crash_plan(0, 3, 3, 100)  # as many crashes as acceptors is allowed
 
 
 def test_identical_seed_gives_identical_trace():
@@ -264,6 +311,7 @@ RECORDS = (
     messages.Nack, messages.Voted, messages.Learned, messages.ClientRequest,
     messages.ClientReply, proposer.Send, proposer.Reply, proposer.SetTimer,
     proposer.FastToken, acceptor.AcceptorState, checker.HistoryEvent,
+    quorum.ValueChosen, quorum.MustWriteThrough, quorum.ReadyToPropose, quorum.Retry,
 )
 
 
