@@ -359,6 +359,10 @@ class Proposer:
             effects: List[Effect] = [Send(a, prep) for a in self._acceptors()]
             effects.append(self._arm_timer(req))
             return effects
+        if req.kind is ReqKind.READ and not req.escalated and len(req.acks) >= self.quorum:
+            # A quorum answered without agreeing and the rest stayed silent:
+            # a read retry, counted against the budget, not a blind restart.
+            return self._read_retry(req)
         # Messages may have been lost (or a quorum crashed); start over.
         self.stats.restarts += 1
         self._reset_instance(req)
@@ -375,17 +379,24 @@ class Proposer:
         return []
 
     def _evaluate_read(self, req: Request) -> List[Effect]:
+        """Finish the read once its pool holds a consistent quorum. A quorum
+        that disagrees is not enough to give up on the attempt: the rest of
+        its replies are usually in flight and complete a consistent quorum.
+        So the read waits for every acceptor's reply to the attempt, bounded
+        by the request timer (`on_timer`), before it retries."""
         effects = self._evaluate_read_pool(req)
         if effects or req.done:
             return effects
-        if len(req.acks) < self.quorum:
+        if len(req.acks) < self.config.n_acceptors:
             return []
         return self._read_retry(req)
 
     def _read_retry(self, req: Request) -> List[Effect]:
-        """Contention management: retry round-less while the writer makes
-        progress, escalate to a write-through once it looks crashed or the
-        retry budget is spent."""
+        """Contention management, once an attempt is over without agreement:
+        every acceptor answered it, or the request timer fired after a
+        quorum did. Retry round-less while the writer makes progress,
+        escalate to a write-through once it looks crashed or the retry
+        budget is spent."""
         acks = req.acks.values()
         rounds = tuple(sorted((round_sort_key(a.r_ack), round_sort_key(a.r_voted)) for a in acks))
         progressed = req.prev_rounds is None or rounds != req.prev_rounds

@@ -5,13 +5,15 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rmwreg.acceptor import Acceptor
+from rmwreg.acceptor import Acceptor, AcceptorState
 from rmwreg.core import EMPTY, CommandError, Config, FnCommand, Mode, Round, Value
 from rmwreg.kv import AddCmd, SetCmd, append_token
 from rmwreg.core import ReqID
 from rmwreg.messages import Ack, Learned, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote, Voted
 from rmwreg.proposer import Proposer, Reply, Send, SetTimer
+from rmwreg.quorum import find_chosen_in_pool, find_empty_in_pool, quorum_size
 
 
 class Loopback:
@@ -23,6 +25,7 @@ class Loopback:
         self.sent = []
         self.timers = []
         self.queue = deque()
+        self.silent = set()  # acceptors whose messages are lost
 
     def _absorb(self, effects):
         for eff in effects:
@@ -37,6 +40,8 @@ class Loopback:
     def pump(self):
         while self.queue:
             eff = self.queue.popleft()
+            if eff.dst in self.silent:
+                continue
             if eff.dst in self.acceptors:
                 for dst, out in self.acceptors[eff.dst].handle(eff.msg):
                     self._absorb([Send(dst, out)])
@@ -186,6 +191,115 @@ def test_read_write_through_consolidates_partial_write():
     assert net.proposer.stats.write_throughs == 1
     voted = {a.cell(b"k").val for a in net.acceptors.values()}
     assert voted == {Value(b'["x","y"]')}
+
+
+def _split_vote(net):
+    """After ["a"] is chosen on every acceptor, acceptor 0 alone votes a
+    phantom writer's ["a","x"] in a higher round: a read's first two replies
+    disagree, and the other two form a consistent quorum for ["a"]."""
+    net.submit(b"k", ReqKind.WRITE, appender("a"), seq=0)
+    net.acceptors[0].handle(Prepare(b"k", 2000, ReqKind.WRITE, Ticket(0, 0)))
+    phantom = net.acceptors[0].cell(b"k").r_ack
+    net.acceptors[0].handle(
+        Vote(b"k", 2000, phantom, Value(b'["a","x"]'), None, None, Ticket(0, 0)))
+
+
+def _prepares(net):
+    return sum(isinstance(s.msg, Prepare) for s in net.sent)
+
+
+def test_read_finishes_on_the_late_reply_of_its_first_attempt():
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
+    _split_vote(net)
+    prepares = _prepares(net)
+    net.submit(b"k", ReqKind.READ, seq=1)
+    assert (net.replies[-1].status, net.replies[-1].value) == (Status.DONE, Value(b'["a"]'))
+    assert _prepares(net) - prepares == 3  # one broadcast, no retry
+    assert net.proposer.stats.read_retries == 0
+
+
+def test_read_with_a_silent_acceptor_retries_when_its_timer_fires():
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW, read_retry_limit=1))
+    _split_vote(net)
+    net.silent.add(2)
+    prepares = _prepares(net)
+    net.submit(b"k", ReqKind.READ, seq=1)
+    # A disagreeing quorum is in and the third reply never comes: the read
+    # waits for its timer instead of broadcasting again.
+    assert len(net.replies) == 1 and _prepares(net) - prepares == 3
+    stats = net.proposer.stats
+    assert (stats.read_retries, stats.restarts) == (0, 0)
+    net.fire_timers()
+    assert len(net.replies) == 1 and _prepares(net) - prepares == 6
+    assert (stats.read_retries, stats.restarts, stats.read_escalations) == (1, 0, 0)
+    for _ in range(5):  # the budget is spent: escalate and write through
+        if len(net.replies) > 1:
+            break
+        net.fire_timers()
+    assert (net.replies[-1].status, net.replies[-1].value) == (Status.DONE, Value(b'["a","x"]'))
+    assert (stats.read_retries, stats.restarts, stats.read_escalations) == (1, 0, 1)
+    assert stats.write_throughs == 1
+
+
+# Votes an acceptor may hold: one value per round, as the protocol keeps it.
+VOTES = (
+    (Round(1, 1000), Value(b'"a"'), None),
+    (Round(2, 1001), Value(b'"b"'), ReqID(1001, 0)),
+    (Round(3, 1000), Value(b'"c"'), None),
+)
+
+
+@st.composite
+def read_cases(draw):
+    n = draw(st.sampled_from([3, 5]))
+    cells = draw(st.lists(st.sampled_from((None,) + VOTES), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    heard = draw(st.integers(0, n))  # replies that arrive before the timer fires
+    return n, cells, order, heard
+
+
+@given(read_cases())
+def test_read_outcome_follows_the_pool_and_waits_for_the_attempt(case):
+    """Whatever the acceptors hold and whatever order their replies take,
+    a read answers exactly when the replies it has seen hold a consistent
+    quorum, with what `find_chosen_in_pool`/`find_empty_in_pool` find in
+    them, and broadcasts again only once all N replies are in or its timer
+    fires."""
+    n, cells, order, heard = case
+    config = Config(n_acceptors=n, register_mode=Mode.SEQUENCE)
+    acceptors = [Acceptor(i, config) for i in range(n)]
+    for a, vote in zip(acceptors, cells):
+        if vote is not None:
+            r_voted, val, req = vote
+            a.cells[b"k"] = AcceptorState(Round(r_voted.n + 1, r_voted.id), val, r_voted, req)
+    p = Proposer(1000, config, random.Random(0))
+    q = quorum_size(n)
+    effects = p.submit(b"k", ReqKind.READ, None, 0, 0)
+    prepares = [e for e in effects if isinstance(e, Send)]
+    [timer] = [e for e in effects if isinstance(e, SetTimer)]
+    assert sorted(e.dst for e in prepares) == list(range(n))
+    seen = []
+    for i in order[:heard]:
+        [(_, ack)] = acceptors[i].handle(prepares[0].msg)
+        seen.append(ack)
+        effects = p.on_message(ack)
+        chosen = find_chosen_in_pool(seen, q)
+        if chosen is not None:
+            assert effects == [Reply(0, Status.DONE, chosen[0], 0)]
+            return
+        if find_empty_in_pool(seen, q):
+            assert effects == [Reply(0, Status.EMPTY, EMPTY, 0)]
+            return
+        if len(seen) < n:
+            assert effects == []
+        else:  # the whole attempt disagrees: retry at once
+            assert sorted(e.dst for e in effects if isinstance(e, Send)) == list(range(n))
+            assert p.stats.read_retries == 1
+            return
+    effects = p.on_timer(timer.token)
+    assert sorted(e.dst for e in effects if isinstance(e, Send)) == list(range(n))
+    retried = heard >= q
+    assert (p.stats.read_retries, p.stats.restarts) == (int(retried), int(not retried))
 
 
 def test_timer_restart_completes_after_total_loss():

@@ -188,6 +188,20 @@ def test_message_delays_2_4_2():
         count_message_delays(res.trace, 0, 99)
 
 
+def test_contended_reads_finish_in_two_message_delays():
+    """One appending writer and 64 readers on one key: a read whose first
+    replies disagree finishes from the rest of its attempt, so at least 99%
+    of the reads take the 2-delay path."""
+    config = Config(n_acceptors=3, register_mode=Mode.SEQUENCE, read_retry_limit=2)
+    scripts = [script(0, (W,), loop_until=200)]
+    scripts += [script(c, (R,), loop_until=200) for c in range(1, 65)]
+    res = run_workload(config, SimConfig(seed=0, fifo=True, max_delay=5), scripts)
+    depths = [ev.depth for ev in res.trace
+              if isinstance(ev, ClientResponseEv) and ev.client != 0]
+    assert len(depths) > 1000
+    assert sum(d <= 2 for d in depths) >= 0.99 * len(depths)
+
+
 def test_crashed_acceptor_drops_messages_but_keeps_state():
     cfg = Config(n_acceptors=3, register_mode=Mode.RMW)
     sim = SimConfig(seed=4, fifo=True,
