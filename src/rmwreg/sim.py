@@ -16,7 +16,7 @@ Simulated time is a tick counter; message delay is sampled uniformly from
 Picks and delays are drawn by `core.randbelow`, `randrange` rebuilt on
 `getrandbits` (`World._below`, and inline on the per-message paths): it
 takes the same bits, so a seed gives the trace that `randrange`/`randint`
-calls would.
+calls would. A pick among one due event draws nothing.
 
 A `SendEv` is both the trace record of a send and the scheduler entry of
 its delivery: the bucket holds the record itself (twice for a duplicate).
@@ -179,21 +179,22 @@ class World:
         Once the world runs, no push is due earlier than the current tick, so
         the earliest bucket only grows at its tail and every bucket keeps its
         entries in push order. The pick is an index into that order: for one
-        seed the same pushes give the same picks, hence the same trace.
+        seed the same pushes give the same picks, hence the same trace. The
+        only entry of a one-entry bucket is taken without a draw.
         """
         tick = self.due_ticks[0]
         bucket = self.buckets[tick]
         n = len(bucket)
+        if n == 1:
+            heapq.heappop(self.due_ticks)
+            del self.buckets[tick]
+            return tick, bucket[0]
         getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        entry = bucket.pop(r)
-        if n == 1:
-            heapq.heappop(self.due_ticks)
-            del self.buckets[tick]
-        return tick, entry
+        return tick, bucket.pop(r)
 
     def _schedule_send(self, src: ProcessId, dst: ProcessId, msg, depth: int) -> None:
         idx = self.send_count
