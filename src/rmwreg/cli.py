@@ -330,14 +330,14 @@ def cmd_serve(args) -> int:
     from .net import Replica
 
     addresses = args.replicas
-    config = Config(
-        n_acceptors=len(addresses),
-        register_mode=_parse_mode(args.mode),
-        read_retry_limit=args.retries,
-        fast_writes=args.fast_writes,
-        batch_interval=args.batch_interval,
-    )
     try:
+        config = Config(
+            n_acceptors=len(addresses),
+            register_mode=_parse_mode(args.mode),
+            read_retry_limit=args.retries,
+            fast_writes=args.fast_writes,
+            batch_interval=args.batch_interval,
+        )
         replica = Replica(args.index, addresses, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -359,6 +359,8 @@ def cmd_client(args) -> int:
     if not 0 <= args.connect < len(addresses):
         args.parser_error(f"--connect {args.connect} is not a replica index "
                           f"below {len(addresses)}")
+    if args.retries < 0:
+        args.parser_error(f"--retries must be at least 0, got {args.retries}")
     cmd = None
     if args.op != "get":
         try:

@@ -211,6 +211,8 @@ def test_fuzz_empty_seed_range_rejected(capsys, seeds):
                  "Expecting value", id="operand-not-json"),
     pytest.param(["client", "--replicas", "127.0.0.1:1", "--connect", "5", "get"],
                  "--connect 5 is not a replica index", id="connect-out-of-range"),
+    pytest.param(["client", "--replicas", "127.0.0.1:1", "--retries", "-1", "get"],
+                 "--retries must be at least 0, got -1", id="client-retries-negative"),
     pytest.param(["serve", "--replicas", "127.0.0.1:1", "--index", "1"],
                  "replica index 1 is outside a group of 1", id="serve-index-out-of-range"),
     pytest.param(["client", "--replicas", "foo", "get", "k"],
@@ -230,6 +232,20 @@ def test_bad_serve_and_client_input_exits_2(capsys, argv, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error: " in err and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--retries", "-1"], "read retry limit must be non-negative",
+                 id="retries-negative"),
+    pytest.param(["--batch-interval", "-1"], "batch interval must be non-negative",
+                 id="batch-interval-negative"),
+])
+def test_bad_serve_config_is_one_error_line(capsys, argv, message):
+    rc = main(["serve", "--replicas", "127.0.0.1:1", "--index", "0", *argv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no replica started
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_client_reports_a_command_the_replica_could_not_apply(capsys):
