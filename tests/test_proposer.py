@@ -25,7 +25,7 @@ class Loopback:
         self.sent = []
         self.timers = []
         self.queue = deque()
-        self.silent = set()  # acceptors whose messages are lost
+        self.silent = set()  # acceptors that receive nothing: messages to them are lost
 
     def _absorb(self, effects):
         for eff in effects:
