@@ -7,12 +7,16 @@ acceptors share nothing.
 
 Stale prepares and votes produce explicit Nacks carrying the current
 promise so proposers can retry without waiting for a timeout.
+
+Like the proposer, it returns effects, here only `messages.Send`, for the
+transport to carry out. A transport routes the types in `ACCEPTOR_MESSAGES`
+here and every other protocol message to the proposer.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .core import (
     EMPTY,
@@ -24,9 +28,7 @@ from .core import (
     ROUND_ZERO,
     Value,
 )
-from .messages import Ack, Learned, Nack, PaxosPrep, Prepare, ReqKind, Vote, Voted
-
-Send = Tuple[ProcessId, object]
+from .messages import Ack, Learned, Nack, PaxosPrep, Prepare, ReqKind, Send, Vote, Voted
 
 
 @dataclass(slots=True)
@@ -90,7 +92,7 @@ class Acceptor:
             # Reads leave the cell untouched so they cannot interfere with
             # concurrent requests.
             incremented = False
-        return [(msg.src, self._ack(msg.key, msg.ticket, state, incremented))]
+        return [Send(msg.src, self._ack(msg.key, msg.ticket, state, incremented))]
 
     # The two handlers below test `core.round_compare`'s LESS and EQUAL
     # directly on the fields: LESS is `n <`, EQUAL is equality of the
@@ -102,17 +104,17 @@ class Acceptor:
         if state.r_ack.n < msg.round.n:
             state = AcceptorState(msg.round, state.val, state.r_voted, state.req)
             self.cells[key] = state
-            return [(msg.src, self._ack(key, msg.ticket, state, True))]
+            return [Send(msg.src, self._ack(key, msg.ticket, state, True))]
         # Incomparable rounds are rejected too: acknowledging them would
         # allow two proposals to share a round number.
-        return [(msg.src, Nack(key, self.pid, msg.ticket, state.r_ack))]
+        return [Send(msg.src, Nack(key, self.pid, msg.ticket, state.r_ack))]
 
     def handle_vote(self, msg: Vote) -> List[Send]:
         key = msg.key
         state = self.cells.get(key, INITIAL_STATE)
         rnd = msg.round
         if rnd != state.r_ack and MUT_VOTE_BELOW_PROMISE not in self.config.mutations:
-            return [(msg.src, Nack(key, self.pid, msg.ticket, state.r_ack))]
+            return [Send(msg.src, Nack(key, self.pid, msg.ticket, state.r_ack))]
 
         assert not rnd.n < state.r_ack.n or (
             MUT_VOTE_BELOW_PROMISE in self.config.mutations
@@ -124,11 +126,9 @@ class Acceptor:
             # after voting, so it may skip phase 1 next time.
             r_ack = Round(rnd.n + 1, rnd.id)
         self.cells[key] = AcceptorState(r_ack, msg.value, rnd, msg.req_cur)
-        out: List[Send] = [
-            (msg.src, Voted(key, self.pid, msg.ticket, rnd, msg.value))
-        ]
+        out = [Send(msg.src, Voted(key, self.pid, msg.ticket, rnd, msg.value))]
         if msg.req_prev is not None:
-            out.append((msg.req_prev.pid, Learned(key, self.pid, msg.req_prev)))
+            out.append(Send(msg.req_prev.pid, Learned(key, self.pid, msg.req_prev)))
         return out
 
     def _ack(self, key: bytes, ticket, state: AcceptorState, incremented: bool) -> Ack:
@@ -142,3 +142,4 @@ _HANDLERS = {
     PaxosPrep: Acceptor.handle_prepare_explicit,
     Vote: Acceptor.handle_vote,
 }
+ACCEPTOR_MESSAGES = frozenset(_HANDLERS)

@@ -12,12 +12,11 @@ read directly off the payload (a JSON list of strings).
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import ROUND_ZERO, Ordering, Round, Value, round_compare
+from .core import Ordering, Value, round_compare
 from .messages import ReqKind, Status, Vote, Voted
 from .quorum import quorum_size
 from .trace import ClientResponseEv, SendEv, StateSnapshotEv

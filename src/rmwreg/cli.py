@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from . import checker, kv
 from .core import ALL_MUTATIONS, Config, Mode, Value
-from .messages import ReqKind, Status
+from .messages import ReqKind
 from .sim import (
     PROPOSER_BASE,
     ClientInvokeEv,
@@ -37,8 +37,6 @@ from .sim import (
     run_workload,
 )
 from .trace import read_trace, write_trace
-
-DEFAULT_KEY = b"r"
 
 
 def _parse_mode(s: str) -> Mode:
@@ -342,7 +340,12 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    replica.start()
+    host, port = addresses[args.index]
+    try:
+        replica.start()
+    except OSError as exc:  # the port is taken, or the host is not ours
+        print(f"error: cannot listen on {host}:{port}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"replica {args.index} listening on {addresses[args.index]}")
     try:
         while True:

@@ -337,27 +337,3 @@ def unframe(buf: bytearray):
         del buf[:end]
         yield decode(body)
 
-
-def read_frame(sock):
-    """Read one framed message from a socket; None on clean EOF."""
-    header = _read_exact(sock, 4)
-    if header is None:
-        return None
-    body = _read_exact(sock, _LENGTH.unpack(header)[0])
-    if body is None:
-        raise CodecError("connection closed mid-frame")
-    return decode(body)
-
-
-def _read_exact(sock, n: int):
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise CodecError("connection closed mid-frame")
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)

@@ -103,10 +103,6 @@ def round_compare(r1: Round, r2: Round) -> Ordering:
     return Ordering.INCOMPARABLE
 
 
-def round_less(r1: Round, r2: Round) -> bool:
-    return r1.n < r2.n
-
-
 def round_sort_key(r: Round) -> tuple:
     # None sorts below every ProcessId so max() never selects the initial
     # round spuriously.
@@ -261,7 +257,3 @@ class Config:
         unknown = set(self.mutations) - ALL_MUTATIONS
         if unknown:
             raise ValueError(f"unknown mutations: {sorted(unknown)}")
-
-    @property
-    def f_tolerated(self) -> int:
-        return (self.n_acceptors - 1) // 2

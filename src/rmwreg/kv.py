@@ -172,10 +172,6 @@ _COMMANDS = {
 }
 
 
-def encode_command(cmd: KvCommand) -> bytes:
-    return cmd.encode()
-
-
 def decode_command(data: bytes) -> KvCommand:
     try:
         rec = json.loads(data.decode("utf-8"))

@@ -1,5 +1,6 @@
-"""Protocol message types exchanged between proposers and acceptors, plus
-the client-facing request/reply contract.
+"""Protocol message types exchanged between proposers and acceptors, the
+client-facing request/reply contract, and the effects both state machines
+return.
 
 Every acceptor-bound message carries the register key (so one acceptor can
 host many independent registers) and a `ticket` identifying the proposer's
@@ -14,12 +15,17 @@ is a value, like `core.Round`: a `tuple` subclass with read-only fields,
 hashed and compared as the plain tuple of its fields, so a `Ticket(1, 2)`
 equals `(1, 2)` and a `Round(1, 2)` (see `rmwreg.core`). One is built per
 attempt and shared by the attempt's messages.
+
+Effects are descriptions, not actions: `Send` a message, `Reply` to a
+client, `SetTimer` for a wakeup. The acceptor returns only `Send`s; the
+transport (simulator or socket replica) carries out all three. They are
+slotted records too.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .core import FrozenTuple, ProcessId, ReqID, Round, Value, tuple_field
 
@@ -157,4 +163,28 @@ class ClientReply:
     client_seq: int
 
 
-Message = object  # any of the dataclasses above
+# ---------------------------------------------------------------------------
+# effects
+
+
+@dataclass(slots=True)
+class Send:
+    dst: ProcessId
+    msg: object
+
+
+@dataclass(slots=True)
+class Reply:
+    client: object
+    status: Status
+    value: Value
+    client_seq: int
+
+
+@dataclass(slots=True)
+class SetTimer:
+    delay: int
+    token: tuple
+
+
+Effect = Union[Send, Reply, SetTimer]

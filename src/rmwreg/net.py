@@ -3,9 +3,11 @@ clients speak the same framed canonical encoding as the peers.
 
 Each replica runs one thread, a `selectors` loop that owns both state
 machines, so the message-at-a-time discipline of the protocol core carries
-over unchanged. Every socket is non-blocking and has an input buffer, which
-`codec.unframe` drains, and an output buffer, flushed once per turn of the
-loop. Proposer timers wait in a heap of `(deadline, seq, token)`, and
+over unchanged. A peer message of a type in `ACCEPTOR_MESSAGES` goes to the
+acceptor and any other to the proposer; the effects both return go through
+one `_apply_effects`. Every socket is non-blocking and has an input buffer,
+which `codec.unframe` drains, and an output buffer, flushed once per turn of
+the loop. Proposer timers wait in a heap of `(deadline, seq, token)`, and
 messages a replica sends to itself go through a local deque. A timer whose
 firing would do nothing, such as one of a request that has finished, is
 dropped from the top of the heap before the loop waits, so it never wakes
@@ -35,21 +37,9 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from . import codec
 from .core import EMPTY, PROPOSER_BASE, Config, UpdateCommand, Value
 from .kv import KvFacade, decode_command
-from .messages import (
-    Ack,
-    ClientReply,
-    ClientRequest,
-    Learned,
-    Nack,
-    PaxosPrep,
-    Prepare,
-    ReqKind,
-    Status,
-    Vote,
-    Voted,
-)
-from .acceptor import Acceptor
-from .proposer import Proposer, Reply, Send, SetTimer
+from .messages import ClientReply, ClientRequest, Reply, ReqKind, Send, SetTimer, Status
+from .acceptor import ACCEPTOR_MESSAGES, Acceptor
+from .proposer import Proposer
 
 TICK_SECONDS = 0.05  # wall-clock length of one protocol timer tick
 CONNECT_TIMEOUT_S = 2.0  # a peer connect still pending this long has failed
@@ -59,11 +49,6 @@ RECV_BYTES = 65536
 
 READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
-
-
-# Which role a peer message goes to.
-_TO_PROPOSER = frozenset({Ack, Nack, Voted, Learned})
-_TO_ACCEPTOR = frozenset({Prepare, PaxosPrep, Vote})
 
 
 def proposer_pid(index: int) -> int:
@@ -298,13 +283,12 @@ class Replica:
 
     def _dispatch(self, msg, conn: Optional[socket.socket]) -> None:
         kind = type(msg)
-        if kind in _TO_PROPOSER:
-            self._apply_effects(self.proposer.on_message(msg))
-        elif kind in _TO_ACCEPTOR:
-            for dst, out in self.acceptor.handle(msg):
-                self._send_peer(dst, out)
-        elif kind is ClientRequest:
+        if kind is ClientRequest:
             self._handle_client(msg, conn)
+        elif kind in ACCEPTOR_MESSAGES:
+            self._apply_effects(self.acceptor.handle(msg))
+        else:  # the proposer ignores a type it does not handle
+            self._apply_effects(self.proposer.on_message(msg))
 
     def _handle_client(self, req: ClientRequest, conn) -> None:
         cmd: Optional[UpdateCommand] = None
@@ -319,6 +303,7 @@ class Replica:
         self._apply_effects(effects)
 
     def _apply_effects(self, effects) -> None:
+        """Carry out what either role returned."""
         for eff in effects:
             kind = type(eff)
             if kind is Send:

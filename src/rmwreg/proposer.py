@@ -6,14 +6,15 @@ single-threaded machine: callers feed it one message (or timer, or request
 admission) at a time and apply the returned effects.
 
 Effects are descriptions, not actions: `Send` messages, `Reply` to a
-client, `SetTimer` for a wakeup. The transport (simulator or socket
-server) interprets them.
+client, `SetTimer` for a wakeup. They live in `rmwreg.messages`, beside the
+acceptor's `Send`s, and the transport (simulator or socket replica)
+interprets both machines' effects in one loop.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     EMPTY,
@@ -34,26 +35,28 @@ from .core import (
     randbelow,
     round_sort_key,
 )
-from .messages import (
+from .messages import (  # the effects are re-exported for callers of this module
     Ack,
+    Effect,
     Learned,
     Nack,
     PaxosPrep,
     Prepare,
+    Reply,
     ReqKind,
+    Send,
+    SetTimer,
     Status,
     Ticket,
     Vote,
     Voted,
 )
 from .quorum import (
-    EmptyConfirmed,
     Fresh,
     INCONSISTENT,
     MustWriteThrough,
     QuorumView,
     ReadyToPropose,
-    Retry,
     ValueChosen,
     classify,
     cons,
@@ -65,35 +68,9 @@ from .quorum import (
 REQUEST_TIMEOUT_TICKS = 60
 
 
-# ---------------------------------------------------------------------------
-# effects
-#
-# Like the messages, effects and `FastToken` are slotted records built on
+# Like the messages and effects, `FastToken` is a slotted record built on
 # the hot path: unhashable, and never reassigned after construction
 # (`tests/test_sim.py::test_records_are_never_reassigned`).
-
-
-@dataclass(slots=True)
-class Send:
-    dst: ProcessId
-    msg: object
-
-
-@dataclass(slots=True)
-class Reply:
-    client: object
-    status: Status
-    value: Value
-    client_seq: int
-
-
-@dataclass(slots=True)
-class SetTimer:
-    delay: int
-    token: tuple
-
-
-Effect = Union[Send, Reply, SetTimer]
 
 
 @dataclass(slots=True)
@@ -224,9 +201,9 @@ class Proposer:
                 try:
                     req.own_value = apply_command(req.cmds[0], EMPTY)
                 except CommandError as exc:
-                    return self._reply_all(req, Status.ERROR, Value(str(exc).encode()))
+                    return self._finish(req, Status.ERROR, Value(str(exc).encode()))
                 if req.own_value is None:
-                    return self._reply_all(req, Status.NOOP, EMPTY)
+                    return self._finish(req, Status.NOOP, EMPTY)
             token = self.fast.get(req.key)
             if token is not None and self.config.fast_writes:
                 if self.config.register_mode is Mode.WRITE_ONCE:
@@ -417,7 +394,7 @@ class Proposer:
         # The view lives only for this call, and nothing below adds to
         # `req.acks` (a reset replaces the dict), so it need not be copied.
         view = QuorumView(self.quorum, req.acks)
-        outcome = classify(view, ReqKind.WRITE, self.pid)
+        outcome = classify(view, self.pid)
 
         kind = type(outcome)
         if kind is ValueChosen:
@@ -429,11 +406,7 @@ class Proposer:
             if type(mode) is Fresh:
                 return self._on_fresh(req, outcome.round)
             return self._on_write_through(req, outcome.round, mode)
-        if kind is Retry:
-            return self._retry_explicit(req)
-        # EmptyConfirmed cannot occur: the write path always classifies with
-        # request kind WRITE.
-        raise AssertionError(f"unexpected outcome {outcome!r}")
+        return self._retry_explicit(req)  # a Retry
 
     def _on_value_chosen(self, req: Request, view: QuorumView, outcome: ValueChosen) -> List[Effect]:
         base = outcome.value
@@ -594,16 +567,6 @@ class Proposer:
             if (client, seq) not in req.replied
         ]
         req.replied.update(targets)
-        self._complete(req)
-        return effects
-
-    def _reply_all(self, req: Request, status: Status, value: Value) -> List[Effect]:
-        effects = [
-            Reply(client, status, value, seq)
-            for client, seq in req.clients
-            if (client, seq) not in req.replied
-        ]
-        req.replied.update(req.clients)
         self._complete(req)
         return effects
 

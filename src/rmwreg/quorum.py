@@ -20,7 +20,7 @@ from .core import (
     next_explicit_round,
     round_sort_key,
 )
-from .messages import Ack, ReqKind
+from .messages import Ack
 
 AckReply = Ack
 
@@ -110,11 +110,6 @@ class ValueChosen:
 
 
 @dataclass(slots=True)
-class EmptyConfirmed:
-    pass
-
-
-@dataclass(slots=True)
 class Fresh:
     pass
 
@@ -137,27 +132,26 @@ class Retry:
     next_round: Round
 
 
-Phase1Outcome = Union[ValueChosen, EmptyConfirmed, ReadyToPropose, Retry]
+Phase1Outcome = Union[ValueChosen, ReadyToPropose, Retry]
 
 
-def classify(view: QuorumView, request: ReqKind, proposer: ProcessId) -> Phase1Outcome:
-    """Classify a complete quorum view into one phase-1 outcome.
+def classify(view: QuorumView, proposer: ProcessId) -> Phase1Outcome:
+    """Classify a complete quorum view of a write's phase 1 into one outcome.
 
-    Pure function of (view, request, proposer); repeated calls agree.
+    Pure function of (view, proposer); repeated calls agree. Reads finish
+    from their reply pool instead (`find_chosen_in_pool`,
+    `find_empty_in_pool`).
     """
     if not view.complete:
         raise ValueError("classification needs a complete quorum view")
 
     c_voted = cons(view, "r_voted")
-    if c_voted is not INCONSISTENT:
-        if c_voted != ROUND_ZERO:
-            # Consensus already reached; the value is identical across the
-            # quorum whenever r_voted is (single proposal per round).
-            c_val = cons(view, "val")
-            if c_val is not INCONSISTENT:
-                return ValueChosen(c_val, c_voted)
-        elif request is ReqKind.READ:
-            return EmptyConfirmed()
+    if c_voted is not INCONSISTENT and c_voted != ROUND_ZERO:
+        # Consensus already reached; the value is identical across the
+        # quorum whenever r_voted is (single proposal per round).
+        c_val = cons(view, "val")
+        if c_val is not INCONSISTENT:
+            return ValueChosen(c_val, c_voted)
 
     if all(r.incremented for r in view.replies.values()):
         c_ack = cons(view, "r_ack")

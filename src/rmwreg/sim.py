@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .acceptor import INITIAL_STATE, Acceptor
 from .checker import HistoryEvent
 from .core import PROPOSER_BASE, Config, Mode, ProcessId, UpdateCommand, Value, randbelow
-from .messages import ReqKind
-from .proposer import Proposer, Reply, Send, SetTimer
+from .messages import Reply, ReqKind, Send, SetTimer
+from .proposer import Proposer
 from .trace import (  # the serializers are re-exported for callers of this module
     ClientInvokeEv,
     ClientResponseEv,
@@ -90,10 +90,6 @@ class ClientScript:
     start_tick: int = 0
     think: int = 0
     loop_until: Optional[int] = None  # cycle through ops until this tick
-
-
-class QuiescenceNotReached(Exception):
-    pass
 
 
 @dataclass
@@ -233,7 +229,9 @@ class World:
 
     # -- effect processing ----------------------------------------------------
 
-    def _apply_proposer_effects(self, pid: ProcessId, effects, depth: int) -> None:
+    def _apply_effects(self, pid: ProcessId, effects, depth: int) -> None:
+        """Carry out what `pid` returned while handling an event at `depth`:
+        a send is one delay deeper, a reply ends the op at `depth`."""
         for eff in effects:
             kind = type(eff)
             if kind is Send:
@@ -306,7 +304,7 @@ class World:
         cs.ops_meta[op_index] = (key, kind, token)
         pid = cs.script.proposer
         effects = self.proposers[pid].submit(key, kind, cmd, client, op_index)
-        self._apply_proposer_effects(pid, effects, depth=0)
+        self._apply_effects(pid, effects, depth=0)
 
     def _deliver(self, ev: SendEv) -> None:
         dst = ev.dst
@@ -320,19 +318,17 @@ class World:
             key = msg.key
             cells = acceptor.cells
             before = cells.get(key, INITIAL_STATE)
-            outs = acceptor.handle(msg)
+            effects = acceptor.handle(msg)
             after = cells.get(key, INITIAL_STATE)
             # Most messages leave the cell object in place; only a new one
             # needs the field-by-field comparison.
             if after is not before and after != before:
                 self.trace.append(StateSnapshotEv(self.tick, dst, key, after))
-            depth = ev.depth + 1
-            for target, out in outs:
-                self._schedule_send(dst, target, out, depth)
+            self._apply_effects(dst, effects, ev.depth)
             return
         proposer = self.proposers.get(dst)
         if proposer is not None:
-            self._apply_proposer_effects(dst, proposer.on_message(ev.msg), ev.depth)
+            self._apply_effects(dst, proposer.on_message(ev.msg), ev.depth)
         # messages to unknown pids are silently discarded
 
     # -- main loop -------------------------------------------------------------
@@ -352,7 +348,7 @@ class World:
             _, pid, token = entry
             if pid not in self.down:
                 effects = self.proposers[pid].on_timer(token)
-                self._apply_proposer_effects(pid, effects, depth=0)
+                self._apply_effects(pid, effects, depth=0)
         elif kind == "invoke":
             self._invoke(entry[1])
         elif kind == "crash":
@@ -364,7 +360,7 @@ class World:
             self.trace.append(RecoverEv(self.tick, pid))
             if pid in self.proposers:
                 effects = self.proposers[pid].on_recover()
-                self._apply_proposer_effects(pid, effects, depth=0)
+                self._apply_effects(pid, effects, depth=0)
         else:
             raise AssertionError(f"unknown entry {entry!r}")
         return True

@@ -22,6 +22,7 @@ from rmwreg.messages import (
     PaxosPrep,
     Prepare,
     ReqKind,
+    Send,
     Ticket,
     Vote,
     Voted,
@@ -29,6 +30,11 @@ from rmwreg.messages import (
 
 KEY = b"k"
 T = Ticket(0, 0)
+
+
+def msgs(out):
+    """The message of each `Send` the acceptor returned, in order."""
+    return [sent.msg for sent in out]
 
 
 def make(fast_writes=True, mutations=frozenset()):
@@ -44,8 +50,9 @@ def test_initial_state():
 def test_prepare_write_increments_and_takes_ownership():
     a = make()
     a.cells[KEY] = AcceptorState(r_ack=Round(5, 7))
-    [(dst, reply)] = a.handle(Prepare(KEY, 9, ReqKind.WRITE, T))
-    assert dst == 9
+    [sent] = a.handle(Prepare(KEY, 9, ReqKind.WRITE, T))
+    reply = sent.msg
+    assert sent.dst == 9
     assert reply.r_ack == Round(6, 9)
     assert reply.incremented
     assert a.cell(KEY).r_ack == Round(6, 9)
@@ -53,7 +60,7 @@ def test_prepare_write_increments_and_takes_ownership():
 
 def test_prepare_fresh_write():
     a = make()
-    [(_, reply)] = a.handle(Prepare(KEY, 3, ReqKind.WRITE, T))
+    [reply] = msgs(a.handle(Prepare(KEY, 3, ReqKind.WRITE, T)))
     assert reply.r_ack == Round(1, 3)
 
 
@@ -61,7 +68,7 @@ def test_prepare_read_leaves_state_untouched():
     a = make()
     a.cells[KEY] = AcceptorState(r_ack=Round(5, 7), val=Value(b"v"), r_voted=Round(5, 7))
     before = a.cell(KEY)
-    [(_, reply)] = a.handle(Prepare(KEY, 9, ReqKind.READ, T))
+    [reply] = msgs(a.handle(Prepare(KEY, 9, ReqKind.READ, T)))
     assert a.cell(KEY) == before
     assert not reply.incremented
     assert reply.val == Value(b"v")
@@ -70,7 +77,7 @@ def test_prepare_read_leaves_state_untouched():
 def test_prepare_explicit_higher_accepted():
     a = make()
     a.cells[KEY] = AcceptorState(r_ack=Round(3, 1))
-    [(_, reply)] = a.handle(PaxosPrep(KEY, 3, Round(6, 3), T))
+    [reply] = msgs(a.handle(PaxosPrep(KEY, 3, Round(6, 3), T)))
     assert isinstance(reply, Ack)
     assert a.cell(KEY).r_ack == Round(6, 3)
 
@@ -78,9 +85,9 @@ def test_prepare_explicit_higher_accepted():
 def test_prepare_explicit_stale_and_incomparable_nacked():
     a = make()
     a.cells[KEY] = AcceptorState(r_ack=Round(6, 3))
-    [(_, stale)] = a.handle(PaxosPrep(KEY, 2, Round(4, 2), T))
+    [stale] = msgs(a.handle(PaxosPrep(KEY, 2, Round(4, 2), T)))
     assert isinstance(stale, Nack) and stale.r_ack == Round(6, 3)
-    [(_, incomp)] = a.handle(PaxosPrep(KEY, 4, Round(6, 4), T))
+    [incomp] = msgs(a.handle(PaxosPrep(KEY, 4, Round(6, 4), T)))
     assert isinstance(incomp, Nack)
     assert a.cell(KEY).r_ack == Round(6, 3)
 
@@ -90,7 +97,7 @@ def test_vote_at_promise_with_fast_writes():
     a.cells[KEY] = AcceptorState(r_ack=Round(6, 9))
     v = Value(b"v")
     out = a.handle(Vote(KEY, 9, Round(6, 9), v, None, None, T))
-    assert out == [(9, Voted(KEY, 0, T, Round(6, 9), v))]
+    assert out == [Send(9, Voted(KEY, 0, T, Round(6, 9), v))]
     state = a.cell(KEY)
     assert state == AcceptorState(Round(7, 9), v, Round(6, 9), None)
 
@@ -105,9 +112,9 @@ def test_vote_without_fast_writes_keeps_promise():
 def test_vote_below_or_incomparable_promise_nacked():
     a = make()
     a.cells[KEY] = AcceptorState(r_ack=Round(8, 2))
-    [(_, reply)] = a.handle(Vote(KEY, 1, Round(6, 1), Value(b"v"), None, None, T))
+    [reply] = msgs(a.handle(Vote(KEY, 1, Round(6, 1), Value(b"v"), None, None, T)))
     assert isinstance(reply, Nack) and reply.r_ack == Round(8, 2)
-    [(_, reply2)] = a.handle(Vote(KEY, 1, Round(8, 1), Value(b"v"), None, None, T))
+    [reply2] = msgs(a.handle(Vote(KEY, 1, Round(8, 1), Value(b"v"), None, None, T)))
     assert isinstance(reply2, Nack)
     assert a.cell(KEY).r_voted == ROUND_ZERO
 
@@ -118,14 +125,14 @@ def test_vote_emits_learned_to_previous_owner():
     prev = ReqID(1004, 7)
     cur = ReqID(1009, 1)
     out = a.handle(Vote(KEY, 9, Round(6, 9), Value(b"v"), cur, prev, T))
-    assert (prev.pid, Learned(KEY, 0, prev)) in out
+    assert Send(prev.pid, Learned(KEY, 0, prev)) in out
     assert a.cell(KEY).req == cur
 
 
 def test_vote_mutation_accepts_below_promise():
     a = make(mutations=frozenset({MUT_VOTE_BELOW_PROMISE}))
     a.cells[KEY] = AcceptorState(r_ack=Round(8, 2))
-    [(_, reply)] = a.handle(Vote(KEY, 1, Round(6, 1), Value(b"v"), None, None, T))
+    [reply] = msgs(a.handle(Vote(KEY, 1, Round(6, 1), Value(b"v"), None, None, T)))
     assert isinstance(reply, Voted)
 
 
@@ -210,18 +217,18 @@ cells = st.one_of(st.none(), st.builds(
 def reference_prepare_explicit(pid, state, msg):
     if round_compare(state.r_ack, msg.round) is Ordering.LESS:
         state = AcceptorState(msg.round, state.val, state.r_voted, state.req)
-        return [(msg.src, Ack(msg.key, pid, msg.ticket, state.r_ack, state.val, state.r_voted,
-                              state.req, True))], state
-    return [(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
+        return [Send(msg.src, Ack(msg.key, pid, msg.ticket, state.r_ack, state.val,
+                                  state.r_voted, state.req, True))], state
+    return [Send(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
 
 
 def reference_vote(pid, state, msg, fast_writes, vote_below_promise):
     if round_compare(msg.round, state.r_ack) is not Ordering.EQUAL and not vote_below_promise:
-        return [(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
+        return [Send(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
     r_ack = Round(msg.round.n + 1, msg.round.id) if fast_writes else state.r_ack
-    out = [(msg.src, Voted(msg.key, pid, msg.ticket, msg.round, msg.value))]
+    out = [Send(msg.src, Voted(msg.key, pid, msg.ticket, msg.round, msg.value))]
     if msg.req_prev is not None:
-        out.append((msg.req_prev.pid, Learned(msg.key, pid, msg.req_prev)))
+        out.append(Send(msg.req_prev.pid, Learned(msg.key, pid, msg.req_prev)))
     return out, AcceptorState(r_ack, msg.value, msg.round, msg.req_cur)
 
 

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -246,6 +247,17 @@ def test_bad_serve_config_is_one_error_line(capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""  # no replica started
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_serve_on_a_port_in_use_is_one_error_line(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        rc = main(["serve", "--replicas", f"127.0.0.1:{port}", "--index", "0"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no replica started
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
 
 
 def test_client_reports_a_command_the_replica_could_not_apply(capsys):

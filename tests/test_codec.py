@@ -22,6 +22,8 @@ from rmwreg.messages import (
     Voted,
 )
 
+from test_net import read_message
+
 rounds = st.builds(Round, st.integers(min_value=0, max_value=2**32 - 1),
                    st.one_of(st.none(), st.integers(min_value=0, max_value=2**64 - 1)))
 reqs = st.one_of(st.none(), st.builds(ReqID, st.integers(min_value=0, max_value=2**64 - 1),
@@ -169,20 +171,11 @@ def test_framing_over_socketpair():
     ]
     for m in msgs:
         a.sendall(codec.frame(m))
-    got = [codec.read_frame(b) for _ in msgs]
+    buf = bytearray()
+    got = [read_message(b, buf) for _ in msgs]
     assert got == msgs
     a.close()
-    assert codec.read_frame(b) is None  # clean EOF
-    b.close()
-
-
-def test_read_frame_mid_frame_eof():
-    a, b = socket.socketpair()
-    blob = codec.frame(Prepare(b"k", 7, ReqKind.WRITE, Ticket(1, 2)))
-    a.sendall(blob[: len(blob) - 2])
-    a.close()
-    with pytest.raises(codec.CodecError):
-        codec.read_frame(b)
+    assert read_message(b, buf) is None  # clean EOF
     b.close()
 
 

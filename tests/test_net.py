@@ -7,7 +7,7 @@ import pytest
 
 from rmwreg import codec, kv, net
 from rmwreg.core import EMPTY, Config, Mode, Value
-from rmwreg.messages import ClientReply, ReqKind, Status
+from rmwreg.messages import ClientReply, ClientRequest, ReqKind, Status
 from rmwreg.net import NetClient, Replica
 from rmwreg.proposer import Proposer
 
@@ -18,6 +18,19 @@ def free_addresses(n):
     for s in socks:
         s.close()
     return addrs
+
+
+def read_message(sock, buf):
+    """The next message framed on `sock`, None when the peer hangs up at a
+    frame boundary. `buf` keeps what was read past the message."""
+    while (msg := next(codec.unframe(buf), None)) is None:
+        data = sock.recv(65536)
+        if not data:
+            if buf:
+                raise codec.CodecError("connection closed mid-frame")
+            return None
+        buf += data
+    return msg
 
 
 def start_group(addrs, indexes=(0, 1, 2)):
@@ -94,6 +107,21 @@ def test_kill_one_replica_operations_continue(group):
         client.close()
 
 
+def test_every_message_type_has_one_route():
+    # A replica hands a peer message to the acceptor when its type is in
+    # ACCEPTOR_MESSAGES, and to the proposer otherwise; the proposer drops a
+    # type it has no handler for. So a new type must join one of the two.
+    from rmwreg.acceptor import ACCEPTOR_MESSAGES
+    from rmwreg.proposer import _HANDLERS as proposer_handlers
+
+    to_proposer = frozenset(proposer_handlers)
+    client = {ClientRequest, ClientReply}
+    assert not ACCEPTOR_MESSAGES & to_proposer
+    assert not (ACCEPTOR_MESSAGES | to_proposer) & client
+    assert ACCEPTOR_MESSAGES | to_proposer | client == {
+        cls for cls, _ in codec.MESSAGES.values()}
+
+
 def test_mismatched_group_size_rejected():
     addrs = free_addresses(2)
     with pytest.raises(ValueError):
@@ -110,7 +138,7 @@ def test_malformed_command_gets_error_reply(group):
     addrs, _ = group
     sock = socket.create_connection(addrs[0], timeout=5)
     sock.sendall(codec.frame(ClientRequest(b"k", ReqKind.WRITE, b"not json", 0)))
-    reply = codec.read_frame(sock)
+    reply = read_message(sock, bytearray())
     assert isinstance(reply, ClientReply)
     assert reply.status is Status.ERROR
     sock.close()
@@ -128,7 +156,7 @@ def test_bad_enum_frame_closes_only_that_connection(group, monkeypatch):
     threads = threading.active_count()
     sock = socket.create_connection(addrs[0], timeout=5)
     sock.sendall(bytes(blob))
-    assert codec.read_frame(sock) is None  # the replica hung up
+    assert read_message(sock, bytearray()) is None  # the replica hung up
     sock.close()
     client = NetClient(addrs[0])
     assert client.facade(Mode.RMW).put(b"k", 3) == 3

@@ -37,16 +37,19 @@ class Loopback:
             elif isinstance(eff, SetTimer):
                 self.timers.append(eff)
 
+    def deliver(self, send):
+        """Hand `send`'s message to its destination and absorb the effects;
+        a message to a silent acceptor is lost."""
+        if send.dst in self.silent:
+            return
+        if send.dst in self.acceptors:
+            self._absorb(self.acceptors[send.dst].handle(send.msg))
+        else:
+            self._absorb(self.proposer.on_message(send.msg))
+
     def pump(self):
         while self.queue:
-            eff = self.queue.popleft()
-            if eff.dst in self.silent:
-                continue
-            if eff.dst in self.acceptors:
-                for dst, out in self.acceptors[eff.dst].handle(eff.msg):
-                    self._absorb([Send(dst, out)])
-            else:
-                self._absorb(self.proposer.on_message(eff.msg))
+            self.deliver(self.queue.popleft())
 
     def submit(self, key, kind, cmd=None, client=0, seq=0):
         self._absorb(self.proposer.submit(key, kind, cmd, client, seq))
@@ -135,12 +138,8 @@ def test_nack_triggers_explicit_round_retry():
     # Another proposer steals the promise between phases by raising r_ack.
     net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, appender("a"), 0, 0))
     # Deliver prepares and their acks, but hold the resulting votes.
-    while net.queue and isinstance(net.queue[0].msg, Prepare):
-        eff = net.queue.popleft()
-        for dst, out in net.acceptors[eff.dst].handle(eff.msg):
-            net._absorb([Send(dst, out)])
     while net.queue and not isinstance(net.queue[0].msg, Vote):
-        net._absorb(net.proposer.on_message(net.queue.popleft().msg))
+        net.deliver(net.queue.popleft())
     for a in net.acceptors.values():
         a.handle(PaxosPrep(b"k", 2000, Round(9, 2000), Ticket(0, 0)))
     net.pump()  # held votes are now stale and get nacked
@@ -280,7 +279,8 @@ def test_read_outcome_follows_the_pool_and_waits_for_the_attempt(case):
     assert sorted(e.dst for e in prepares) == list(range(n))
     seen = []
     for i in order[:heard]:
-        [(_, ack)] = acceptors[i].handle(prepares[0].msg)
+        [sent] = acceptors[i].handle(prepares[0].msg)
+        ack = sent.msg
         seen.append(ack)
         effects = p.on_message(ack)
         chosen = find_chosen_in_pool(seen, q)
@@ -395,12 +395,7 @@ def test_write_abandoned_on_recover_is_evicted():
     net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
     net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, appender("a"), 0, 0))
     while net.queue and not isinstance(net.queue[0].msg, Vote):  # phase 1 only
-        eff = net.queue.popleft()
-        if eff.dst in net.acceptors:
-            for dst, out in net.acceptors[eff.dst].handle(eff.msg):
-                net._absorb([Send(dst, out)])
-        else:
-            net._absorb(net.proposer.on_message(eff.msg))
+        net.deliver(net.queue.popleft())
     assert net.queue and net.proposer.requests[0].proposed
     net.queue.clear()  # the votes are lost in the crash
     assert net.proposer.on_recover() == []

@@ -11,10 +11,9 @@ from rmwreg.core import (
     next_explicit_round,
     round_compare,
 )
-from rmwreg.messages import Ack, ReqKind, Ticket
+from rmwreg.messages import Ack, Ticket
 from rmwreg.quorum import (
     ConfigurationError,
-    EmptyConfirmed,
     Fresh,
     INCONSISTENT,
     MustWriteThrough,
@@ -108,21 +107,19 @@ def test_max_by_tie_value_irrelevant_in_reachable_states():
 def test_classify_value_chosen():
     r, v = Round(4, 2), Value(b"x")
     out = classify(view(ack(0, r_voted=r, val=v), ack(1, r_voted=r, val=v),
-                        ack(2, r_voted=r, val=v)), ReqKind.WRITE, proposer=9)
+                        ack(2, r_voted=r, val=v)), proposer=9)
     assert out == ValueChosen(v, r)
 
 
-def test_classify_empty_confirmed_for_reads_only():
+def test_classify_unvoted_quorum_retries_when_nothing_incremented():
     replies = [ack(i, incremented=False) for i in range(3)]
-    assert classify(view(*replies), ReqKind.READ, 9) == EmptyConfirmed()
-    # A write with the same view retries (nothing incremented).
-    out = classify(view(*replies), ReqKind.WRITE, 9)
+    out = classify(view(*replies), 9)
     assert isinstance(out, Retry)
 
 
 def test_classify_fresh_ready():
     r = Round(6, 9)
-    out = classify(view(*[ack(i, r_ack=r) for i in range(3)]), ReqKind.WRITE, 9)
+    out = classify(view(*[ack(i, r_ack=r) for i in range(3)]), 9)
     assert out == ReadyToPropose(r, Fresh())
 
 
@@ -135,7 +132,7 @@ def test_classify_write_through():
         view(ack(0, r_ack=r_ack),
              ack(1, r_ack=r_ack, r_voted=voted, val=v1, req=req),
              ack(2, r_ack=r_ack)),
-        ReqKind.WRITE, 9)
+        proposer=9)
     assert out == ReadyToPropose(r_ack, MustWriteThrough(v1, voted, req))
 
 
@@ -143,7 +140,7 @@ def test_classify_retry_dominates_observations():
     out = classify(
         view(ack(0, r_ack=Round(3, 1)), ack(1, r_ack=Round(5, 2)),
              ack(2, r_ack=Round(4, 3), r_voted=Round(4, 3))),
-        ReqKind.WRITE, proposer=9)
+        proposer=9)
     assert isinstance(out, Retry)
     assert out.next_round == Round(6, 9)
 
@@ -152,14 +149,14 @@ def test_classify_requires_complete_view():
     v = QuorumView(required=3)
     v.add(ack(0))
     with pytest.raises(ValueError):
-        classify(v, ReqKind.READ, 9)
+        classify(v, 9)
 
 
 # ---------------------------------------------------------------------------
 # brute-force reference classifier
 
 
-def _reference_classify(replies, request, proposer):
+def _reference_classify(replies, proposer):
     """Independent restatement of the phase-1 cases, written against the
     field semantics rather than the production control flow."""
     voted_rounds = {r.r_voted for r in replies}
@@ -168,8 +165,6 @@ def _reference_classify(replies, request, proposer):
         (rv,), (val,) = voted_rounds, vals
         if rv != ROUND_ZERO:
             return ValueChosen(val, rv)
-    if voted_rounds == {ROUND_ZERO} and request is ReqKind.READ:
-        return EmptyConfirmed()
     acks = {r.r_ack for r in replies}
     if all(r.incremented for r in replies) and len(acks) == 1:
         (ra,) = acks
@@ -197,11 +192,10 @@ ack_strategy = st.builds(
 
 
 @given(st.lists(ack_strategy, min_size=1, max_size=5,
-                unique_by=lambda a: a.src),
-       st.sampled_from([ReqKind.READ, ReqKind.WRITE]))
-def test_classify_matches_reference(replies, request):
-    got = classify(view(*replies), request, proposer=99)
-    want = _reference_classify(replies, request, proposer=99)
+                unique_by=lambda a: a.src))
+def test_classify_matches_reference(replies):
+    got = classify(view(*replies), proposer=99)
+    want = _reference_classify(replies, proposer=99)
     assert got == want
 
 

@@ -323,7 +323,7 @@ def test_trace_io_streams_in_bounded_memory(tmp_path):
 RECORDS = (
     messages.Prepare, messages.PaxosPrep, messages.Vote, messages.Ack,
     messages.Nack, messages.Voted, messages.Learned, messages.ClientRequest,
-    messages.ClientReply, proposer.Send, proposer.Reply, proposer.SetTimer,
+    messages.ClientReply, messages.Send, messages.Reply, messages.SetTimer,
     proposer.FastToken, acceptor.AcceptorState, checker.HistoryEvent,
     quorum.ValueChosen, quorum.MustWriteThrough, quorum.ReadyToPropose, quorum.Retry,
 )
