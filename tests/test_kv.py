@@ -100,6 +100,20 @@ def test_command_encoding_round_trip(cmd):
     assert kv.decode_command(cmd.encode()) == cmd
 
 
+@pytest.mark.parametrize("cmd, wire", [
+    (kv.SetCmd({"a": [1, 2]}), b'{"args":[{"a":[1,2]}],"op":"set"}'),
+    (kv.CasCmd(None, "x"), b'{"args":[null,"x"],"op":"cas"}'),
+    (kv.AddCmd(-3), b'{"args":[-3],"op":"add"}'),
+    (kv.SetInsertCmd("e"), b'{"args":["e"],"op":"set_insert"}'),
+    (kv.SetRemoveCmd(2.5), b'{"args":[2.5],"op":"set_remove"}'),
+    (kv.AppendCmd("t1"), b'{"args":["t1"],"op":"append"}'),
+])
+def test_command_encoding_is_pinned(cmd, wire):
+    """Commands cross the network; their bytes must not drift."""
+    assert cmd.encode() == wire
+    assert kv.decode_command(wire) == cmd
+
+
 def test_decode_command_rejects_garbage():
     with pytest.raises(CommandError):
         kv.decode_command(b"not json")
