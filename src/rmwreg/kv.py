@@ -12,7 +12,7 @@ only this fixed algebra crosses the network.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, List, Optional, Tuple
 
 from .core import EMPTY, CommandError, Mode, UpdateCommand, Value
@@ -53,7 +53,8 @@ class KvCommand(UpdateCommand):
     idempotent = True
 
     def args(self) -> List[Any]:
-        raise NotImplementedError
+        """The command's dataclass fields, in declaration order."""
+        return [getattr(self, f.name) for f in fields(self)]
 
     def encode(self) -> bytes:
         return _encode({"op": self.op, "args": self.args()}).encode("utf-8")
@@ -64,9 +65,6 @@ class SetCmd(KvCommand):
     value: Any
     op = "set"
 
-    def args(self) -> List[Any]:
-        return [self.value]
-
     def apply(self, value: Value) -> Optional[Value]:
         return to_payload(self.value)
 
@@ -76,9 +74,6 @@ class CasCmd(KvCommand):
     expect: Any
     new: Any
     op = "cas"
-
-    def args(self) -> List[Any]:
-        return [self.expect, self.new]
 
     def apply(self, value: Value) -> Optional[Value]:
         if from_payload(value) != self.expect:
@@ -91,9 +86,6 @@ class AddCmd(KvCommand):
     delta: int
     op = "add"
     idempotent = False
-
-    def args(self) -> List[Any]:
-        return [self.delta]
 
     def apply(self, value: Value) -> Optional[Value]:
         if not _is_number(self.delta):
@@ -124,9 +116,6 @@ class SetInsertCmd(KvCommand):
     elem: Any
     op = "set_insert"
 
-    def args(self) -> List[Any]:
-        return [self.elem]
-
     def apply(self, value: Value) -> Optional[Value]:
         members = _as_list(value, "set_insert")
         if self.elem in members:
@@ -138,9 +127,6 @@ class SetInsertCmd(KvCommand):
 class SetRemoveCmd(KvCommand):
     elem: Any
     op = "set_remove"
-
-    def args(self) -> List[Any]:
-        return [self.elem]
 
     def apply(self, value: Value) -> Optional[Value]:
         members = _as_list(value, "set_remove")
@@ -155,20 +141,14 @@ class AppendCmd(KvCommand):
     op = "append"
     idempotent = False
 
-    def args(self) -> List[Any]:
-        return [self.elem]
-
     def apply(self, value: Value) -> Optional[Value]:
         return to_payload(_as_list(value, "append") + [self.elem])
 
 
+# op -> (command class, arity)
 _COMMANDS = {
-    "set": (SetCmd, 1),
-    "cas": (CasCmd, 2),
-    "add": (AddCmd, 1),
-    "set_insert": (SetInsertCmd, 1),
-    "set_remove": (SetRemoveCmd, 1),
-    "append": (AppendCmd, 1),
+    cls.op: (cls, len(fields(cls)))
+    for cls in (SetCmd, CasCmd, AddCmd, SetInsertCmd, SetRemoveCmd, AppendCmd)
 }
 
 

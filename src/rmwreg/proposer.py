@@ -51,19 +51,7 @@ from .messages import (  # the effects are re-exported for callers of this modul
     Vote,
     Voted,
 )
-from .quorum import (
-    Fresh,
-    INCONSISTENT,
-    MustWriteThrough,
-    QuorumView,
-    ReadyToPropose,
-    ValueChosen,
-    classify,
-    cons,
-    find_chosen_in_pool,
-    find_empty_in_pool,
-    quorum_size,
-)
+from .quorum import ValueChosen, classify, find_chosen_in_pool, find_empty_in_pool, quorum_size
 
 REQUEST_TIMEOUT_TICKS = 60
 
@@ -227,7 +215,7 @@ class Proposer:
 
     def _fast_write(self, req: Request, token: FastToken) -> List[Effect]:
         del self.fast[req.key]  # consumed; refreshed on success
-        if self.config.register_mode is Mode.RMW and req.reqid in self.learned:
+        if req.reqid in self.learned:
             return self._finish(req, Status.DONE, token.base)
         self.stats.fast_writes += 1
         # This instance starts without a phase-1 broadcast, so it has no
@@ -294,7 +282,7 @@ class Proposer:
             return []
         # Only record the fact. LEARNED does not say which of this request's
         # proposals was chosen, so the reply value has to come from a later
-        # quorum view; the dedup checks finish the request from there.
+        # phase-1 quorum; `_settled` finishes the request from there.
         if learned.req in self.open_writes:
             self.learned[learned.req] = True
         return []
@@ -391,56 +379,47 @@ class Proposer:
     # -- write path ----------------------------------------------------------
 
     def _classify_and_dispatch(self, req: Request) -> List[Effect]:
-        # The view lives only for this call, and nothing below adds to
-        # `req.acks` (a reset replaces the dict), so it need not be copied.
-        view = QuorumView(self.quorum, req.acks)
-        outcome = classify(view, self.pid)
-
-        kind = type(outcome)
-        if kind is ValueChosen:
-            return self._on_value_chosen(req, view, outcome)
-        if kind is ReadyToPropose:
-            mode = outcome.mode
-            if type(mode) is MustWriteThrough and MUT_SKIP_WRITE_THROUGH in self.config.mutations:
-                mode = Fresh()
-            if type(mode) is Fresh:
-                return self._on_fresh(req, outcome.round)
-            return self._on_write_through(req, outcome.round, mode)
-        return self._retry_explicit(req)  # a Retry
-
-    def _on_value_chosen(self, req: Request, view: QuorumView, outcome: ValueChosen) -> List[Effect]:
-        base = outcome.value
-        base_req = cons(view, "req")
-        if base_req is INCONSISTENT:
-            base_req = None
-        if req.escalated:
-            return self._finish(req, Status.DONE, base)
-        if self.config.register_mode is Mode.WRITE_ONCE:
-            return self._finish_write_once(req, base)
-        if self.config.register_mode is Mode.RMW:
-            if base_req is not None and base_req == req.reqid:
-                return self._finish(req, Status.DONE, base)
-            if req.reqid in self.learned:
-                return self._finish(req, Status.DONE, base)
-        c_ack = cons(view, "r_ack")
-        if c_ack is not INCONSISTENT and all(a.incremented for a in view.replies.values()):
-            return self._propose_successor(req, c_ack, base, base_req)
-        return self._retry_explicit(req)
+        outcome = classify(req.acks.values())
+        if outcome is None:
+            return self._retry_explicit(req)
+        if type(outcome) is ValueChosen:
+            base, base_req = outcome.value, outcome.req
+            settled = self._settled(req, base, base_req)
+            if settled is not None:
+                return settled
+            if outcome.successor is None:
+                return self._retry_explicit(req)
+            return self._propose_successor(req, outcome.successor, base, base_req)
+        wt = outcome.write_through
+        if wt is None or MUT_SKIP_WRITE_THROUGH in self.config.mutations:
+            return self._on_fresh(req, outcome.round)
+        self.stats.write_throughs += 1
+        return self._propose(req, outcome.round, wt.val, wt.req, None, writethrough=True)
 
     def _on_fresh(self, req: Request, round: Round) -> List[Effect]:
         if req.escalated:
             # A consistent, fully unvoted quorum: nothing was ever chosen,
             # so the read may return empty without proposing anything.
             return self._finish(req, Status.EMPTY, EMPTY)
-        if self.config.register_mode is Mode.RMW and req.reqid in self.learned:
+        if req.reqid in self.learned:
             return self._finish(req, Status.DONE, EMPTY)
         if self.config.register_mode is Mode.WRITE_ONCE:
             return self._propose(req, round, req.own_value, req.reqid, None)
         return self._propose_successor(req, round, EMPTY, None)
 
-    def _on_write_through(self, req: Request, round: Round, wt: MustWriteThrough) -> List[Effect]:
-        self.stats.write_throughs += 1
-        return self._propose(req, round, wt.value, wt.req, None, writethrough=True)
+    def _settled(
+        self, req: Request, chosen: Value, chosen_req: Optional[ReqID]
+    ) -> Optional[List[Effect]]:
+        """Finish `req` when the chosen value already answers it: an
+        escalated read, a write-once register, or an RMW write whose command
+        is in it. None: the request still has a command to propose."""
+        if req.escalated:
+            return self._finish(req, Status.DONE, chosen)
+        if self.config.register_mode is Mode.WRITE_ONCE:
+            return self._finish_write_once(req, chosen)
+        if req.reqid is not None and (chosen_req == req.reqid or req.reqid in self.learned):
+            return self._finish(req, Status.DONE, chosen)
+        return None
 
     def _propose_successor(
         self, req: Request, round: Round, base: Value, base_req: Optional[ReqID]
@@ -515,15 +494,9 @@ class Proposer:
 
         # A write-through only consolidates someone's unfinished consensus;
         # the client's own command still has to be processed.
-        if req.escalated:
-            return self._finish(req, Status.DONE, chosen)
-        if self.config.register_mode is Mode.WRITE_ONCE:
-            return self._finish_write_once(req, chosen)
-        if self.config.register_mode is Mode.RMW:
-            if prop.req_cur is not None and prop.req_cur == req.reqid:
-                return self._finish(req, Status.DONE, chosen)
-            if req.reqid in self.learned:
-                return self._finish(req, Status.DONE, chosen)
+        settled = self._settled(req, chosen, prop.req_cur)
+        if settled is not None:
+            return settled
         token = self.fast.get(req.key)
         if token is not None and self.config.fast_writes:
             return self._fast_write(req, token)
@@ -608,10 +581,7 @@ class Proposer:
             clients = [(client, seq) for _, client, seq in entries]
             req = self._new_request(key, ReqKind.WRITE, cmds, clients)
             effects.extend(self._start(req))
-        if self.batch_reads or self.batch_writes:
-            effects.append(SetTimer(self.config.batch_interval, ("batch",)))
-        else:
-            self.batch_timer_armed = False
+        self.batch_timer_armed = False
         return effects
 
 

@@ -1,28 +1,22 @@
-"""Phase-1 reply collection and classification.
+"""Phase-1 quorum classification.
 
-A quorum view is a set of phase-1 replies from distinct acceptors. `cons`
-and `max_by` are the two reply-set reductions everything else is built on;
-`classify` turns a view into one of the phase-1 outcomes the proposer
-dispatches on. The outcomes are slotted records, like the messages: one is
-built per classification, and none is reassigned after construction.
+`classify` looks once at a write's quorum of phase-1 replies, one per
+acceptor, and says what the proposer does next: the previous consensus is
+finished (`ValueChosen`: propose its successor), a promise is held
+(`ReadyToPropose`: write the newest vote through, or propose afresh), or
+the quorum is contended (None: retry with an explicit round). Reads pool
+their replies across attempts instead (`find_chosen_in_pool`,
+`find_empty_in_pool`). The outcomes are slotted records, like the
+messages: one is built per classification, and none is reassigned after
+construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Collection, Iterable, Optional, Tuple, Union
 
-from .core import (
-    ROUND_ZERO,
-    ProcessId,
-    ReqID,
-    Round,
-    Value,
-    next_explicit_round,
-    round_sort_key,
-)
+from .core import ROUND_ZERO, ReqID, Round, Value, round_sort_key
 from .messages import Ack
-
-AckReply = Ack
 
 
 class ConfigurationError(Exception):
@@ -36,142 +30,53 @@ def quorum_size(n: int) -> int:
     return n // 2 + 1
 
 
-class Inconsistent:
-    """Distinguished marker returned by cons() on disagreeing replies."""
-
-    _instance: Optional["Inconsistent"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Inconsistent"
-
-
-INCONSISTENT = Inconsistent()
-
-
-@dataclass
-class QuorumView:
-    """Minimal quorum of phase-1 replies, one per acceptor. Late replies may
-    be merged in and classification re-run."""
-
-    required: int
-    replies: dict = field(default_factory=dict)  # ProcessId -> AckReply
-
-    def add(self, reply: AckReply) -> None:
-        self.replies[reply.src] = reply
-
-    def __len__(self) -> int:
-        return len(self.replies)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.replies) >= self.required
-
-
-def cons(view: QuorumView, selector: str):
-    """Common value of the selected field across all replies, or the
-    Inconsistent marker. Precondition: at least one reply."""
-    if not view.replies:
-        raise ValueError("cons over empty view")
-    replies = iter(view.replies.values())
-    first = getattr(next(replies), selector)
-    for r in replies:
-        if getattr(r, selector) != first:
-            return INCONSISTENT
-    return first
-
-
-def max_by(view: QuorumView, key_selector: str, value_selector: str):
-    """Value of `value_selector` from the reply with the largest round in
-    `key_selector`. Ties among incomparable maximal rounds are broken by the
-    largest sender pid, which is value-irrelevant in reachable states but
-    keeps simulation replayable."""
-    if not view.replies:
-        raise ValueError("max_by over empty view")
-    best = max(
-        view.replies.values(),
-        key=lambda r: (round_sort_key(getattr(r, key_selector)), r.src),
-    )
-    return getattr(best, value_selector)
-
-
 # ---------------------------------------------------------------------------
 # phase-1 outcomes
 
 
 @dataclass(slots=True)
 class ValueChosen:
+    """The quorum voted one value in one round: that consensus is finished.
+    `req` is the quorum's common request id (None when the ids differ), and
+    `successor` the common promise when every reply incremented it, so the
+    next proposal may use it (None: retry with an explicit round)."""
+
     value: Value
-    r_voted: Round
-
-
-@dataclass(slots=True)
-class Fresh:
-    pass
-
-
-@dataclass(slots=True)
-class MustWriteThrough:
-    value: Value
-    r_voted: Round
     req: Optional[ReqID]
+    successor: Optional[Round]
 
 
 @dataclass(slots=True)
 class ReadyToPropose:
+    """Every reply incremented the same promise, `round`. `write_through` is
+    the reply with the newest vote, whose unfinished consensus must be
+    written through first, or None when the quorum never voted."""
+
     round: Round
-    mode: Union[Fresh, MustWriteThrough]
+    write_through: Optional[Ack]
 
 
-@dataclass(slots=True)
-class Retry:
-    next_round: Round
+def classify(replies: Collection[Ack]) -> Union[ValueChosen, ReadyToPropose, None]:
+    """Classify a quorum of a write's phase-1 replies, one per acceptor;
+    None means retry with an explicit round.
 
-
-Phase1Outcome = Union[ValueChosen, ReadyToPropose, Retry]
-
-
-def classify(view: QuorumView, proposer: ProcessId) -> Phase1Outcome:
-    """Classify a complete quorum view of a write's phase 1 into one outcome.
-
-    Pure function of (view, proposer); repeated calls agree. Reads finish
-    from their reply pool instead (`find_chosen_in_pool`,
-    `find_empty_in_pool`).
+    Pure function of the replies; repeated calls agree. Reads finish from
+    their reply pool instead (`find_chosen_in_pool`, `find_empty_in_pool`).
     """
-    if not view.complete:
-        raise ValueError("classification needs a complete quorum view")
-
-    c_voted = cons(view, "r_voted")
-    if c_voted is not INCONSISTENT and c_voted != ROUND_ZERO:
-        # Consensus already reached; the value is identical across the
-        # quorum whenever r_voted is (single proposal per round).
-        c_val = cons(view, "val")
-        if c_val is not INCONSISTENT:
-            return ValueChosen(c_val, c_voted)
-
-    if all(r.incremented for r in view.replies.values()):
-        c_ack = cons(view, "r_ack")
-        if c_ack is not INCONSISTENT:
-            if c_voted is not INCONSISTENT and c_voted == ROUND_ZERO:
-                return ReadyToPropose(c_ack, Fresh())
-            return ReadyToPropose(
-                c_ack,
-                MustWriteThrough(
-                    max_by(view, "r_voted", "val"),
-                    max_by(view, "r_voted", "r_voted"),
-                    max_by(view, "r_voted", "req"),
-                ),
-            )
-
-    observed: List[Round] = []
-    for r in view.replies.values():
-        observed.append(r.r_ack)
-        observed.append(r.r_voted)
-    return Retry(next_explicit_round(observed, proposer))
+    first = next(iter(replies))
+    r_ack = first.r_ack
+    successor = r_ack if all(r.incremented and r.r_ack == r_ack for r in replies) else None
+    r_voted, val = first.r_voted, first.val
+    if r_voted != ROUND_ZERO and all(r.r_voted == r_voted and r.val == val for r in replies):
+        req = first.req
+        return ValueChosen(val, req if all(r.req == req for r in replies) else None, successor)
+    if successor is None:
+        return None
+    # `round_sort_key` orders incomparable rounds by owner id; equal newest
+    # rounds go to the largest sender. Either choice is value-irrelevant in
+    # reachable states (one value per round number), but keeps runs replayable.
+    newest = max(replies, key=lambda r: (round_sort_key(r.r_voted), r.src))
+    return ReadyToPropose(successor, None if newest.r_voted == ROUND_ZERO else newest)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +84,7 @@ def classify(view: QuorumView, proposer: ProcessId) -> Phase1Outcome:
 
 
 def find_chosen_in_pool(
-    pool: Iterable[AckReply], required: int
+    pool: Iterable[Ack], required: int
 ) -> Optional[Tuple[Value, Round, Optional[ReqID]]]:
     """Scan replies collected across read attempts for a consistent quorum
     of identical votes. Mixing attempts is safe: a quorum of acceptors that
@@ -200,7 +105,7 @@ def find_chosen_in_pool(
     return best
 
 
-def find_empty_in_pool(pool: Iterable[AckReply], required: int) -> bool:
+def find_empty_in_pool(pool: Iterable[Ack], required: int) -> bool:
     """True when a quorum of distinct acceptors reported never having voted.
     No value can have been chosen before the earliest of those replies."""
     unvoted = {r.src for r in pool if r.r_voted == ROUND_ZERO}

@@ -325,7 +325,7 @@ RECORDS = (
     messages.Nack, messages.Voted, messages.Learned, messages.ClientRequest,
     messages.ClientReply, messages.Send, messages.Reply, messages.SetTimer,
     proposer.FastToken, acceptor.AcceptorState, checker.HistoryEvent,
-    quorum.ValueChosen, quorum.MustWriteThrough, quorum.ReadyToPropose, quorum.Retry,
+    quorum.ValueChosen, quorum.ReadyToPropose,
 )
 
 
