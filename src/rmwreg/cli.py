@@ -346,7 +346,8 @@ def cmd_serve(args) -> int:
     except OSError as exc:  # the port is taken, or the host is not ours
         print(f"error: cannot listen on {host}:{port}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    print(f"replica {args.index} listening on {addresses[args.index]}")
+    # Flushed: a supervisor reading a pipe waits for this line.
+    print(f"replica {args.index} listening on {addresses[args.index]}", flush=True)
     try:
         while True:
             time.sleep(1)

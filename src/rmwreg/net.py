@@ -1,22 +1,29 @@
 """Real-socket deployment: one replica hosts one acceptor plus one proposer;
 clients speak the same framed canonical encoding as the peers.
 
-Each replica runs one thread, a `selectors` loop that owns both state
-machines, so the message-at-a-time discipline of the protocol core carries
-over unchanged. A peer message of a type in `ACCEPTOR_MESSAGES` goes to the
-acceptor and any other to the proposer; the effects both return go through
-one `_apply_effects`. Every socket is non-blocking and has an input buffer,
+Every replica started in one process runs on one shared thread, a
+`selectors` loop that owns all their state machines, so the
+message-at-a-time discipline of the protocol core carries over unchanged.
+The first `start()` creates the loop and the last `stop()` ends it;
+`rmwreg serve` runs one replica per process. Replicas in one process still
+reach each other over TCP and the codec, like peers in other processes.
+
+A peer message of a type in `ACCEPTOR_MESSAGES` goes to the acceptor and
+any other to the proposer; the effects both return go through one
+`_apply_effects`. Every socket is non-blocking and has an input buffer,
 which `codec.unframe` drains, and an output buffer, flushed once per turn of
-the loop. Proposer timers wait in a heap of `(deadline, seq, token)`, and
-messages a replica sends to itself go through a local deque. A timer whose
-firing would do nothing, such as one of a request that has finished, is
-dropped from the top of the heap before the loop waits, so it never wakes
-the loop.
+the loop; a connection that leaves more than `OUTBUF_MAX` bytes unsent is
+closed. The timers of every replica wait in one heap of
+`(deadline, seq, replica, token)`, and messages a replica sends to itself go
+through its own deque. A timer whose firing would do nothing, such as one of
+a request that has finished, is dropped from the top of the heap before the
+loop waits, so it never wakes the loop.
 
 TCP provides the reliable FIFO links RMW mode needs. A replica sends to each
 peer over one outbound connection, which it opens without blocking and
-re-opens after a growing pause when the connect fails or the peer hangs up.
-What is sent to a peer that is down is lost; the protocol's retries cover it.
+re-opens after a growing pause when the connect fails, the peer hangs up or
+the peer stops reading. What is sent to a peer that is down is lost; the
+protocol's retries cover it.
 
 `NetClient` reads whole segments into a buffer of its own and drains the
 complete frames from it, so a reply costs one `recv`.
@@ -46,6 +53,9 @@ CONNECT_TIMEOUT_S = 2.0  # a peer connect still pending this long has failed
 RECONNECT_MIN_S = 0.05  # pauses before reconnecting to a peer double from here
 RECONNECT_MAX_S = 1.0
 RECV_BYTES = 65536
+# Unsent bytes after which a connection is closed: a client or peer that
+# stops reading. A healthy run leaves a few hundred bytes per turn.
+OUTBUF_MAX = 4 << 20
 
 READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
@@ -57,21 +67,130 @@ def proposer_pid(index: int) -> int:
 
 class _Conn:
     """One non-blocking socket with its buffers and the selector events it
-    waits for. `peer` is the replica an outbound connection leads to, None
-    for an accepted one."""
+    waits for. `owner` is the replica it belongs to, and `peer` the replica
+    an outbound connection leads to, None for an accepted one."""
 
-    __slots__ = ("sock", "peer", "inbuf", "outbuf", "events", "connecting", "closed")
+    __slots__ = ("sock", "owner", "peer", "inbuf", "outbuf", "events", "connecting", "closed")
 
-    def __init__(self, sock: socket.socket, peer: Optional[int], events: int):
+    def __init__(self, sock: socket.socket, owner: "Replica", peer: Optional[int], events: int):
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # the loop batches writes
         self.sock = sock
+        self.owner = owner
         self.peer = peer
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.events = events
         self.connecting = peer is not None
         self.closed = False
+
+
+_lock = threading.Lock()  # guards `_loop` and the fields of a loop marked as under it
+_loop: Optional["_Loop"] = None  # the loop new replicas join; None while none runs
+
+
+class _Loop:
+    """The thread every started replica in this process runs on. Only this
+    thread touches the selector and the replicas' sockets: `start()` and
+    `stop()` queue a replica to join or leave and wake it. It ends once no
+    replica is left, or when an exception escapes a handler; either way it
+    closes the sockets of every replica still on it and releases their
+    `stop()`."""
+
+    def __init__(self):
+        self.selector = selectors.DefaultSelector()
+        # start() and stop() write a byte here to end a select() that would wait on.
+        self.waker, self.wake_end = socket.socketpair()
+        self.wake_end.setblocking(False)
+        self.selector.register(self.waker, READ)
+        self.timers: List[tuple] = []  # heap of (deadline, seq, replica, token)
+        self.timer_seq = itertools.count()
+        self.replicas: List[Replica] = []  # those whose listener is registered
+        self.members: Set[Replica] = set()  # every replica a stop() may wait on; under _lock
+        self.joining: List[Replica] = []  # under _lock
+        self.leaving: List[Replica] = []  # under _lock
+        self.thread = threading.Thread(target=self._run, daemon=True, name="replica-loop")
+
+    def wake(self) -> None:
+        """Called under `_lock`, while this is the running loop, so that the
+        thread has not closed the waker."""
+        try:
+            self.wake_end.send(b"\0")
+        except BlockingIOError:
+            pass  # the buffer is full of wake-ups the thread has yet to read
+
+    def _run(self) -> None:
+        timers = self.timers
+        try:
+            while True:
+                while timers and not timers[0][2]._timer_live(timers[0][3]):
+                    heapq.heappop(timers)
+                timeout = None
+                if timers:
+                    timeout = max(0.0, timers[0][0] - time.monotonic())
+                woken = False
+                for key, events in self.selector.select(timeout):
+                    data = key.data
+                    if type(data) is _Conn:
+                        data.owner._on_ready(data, events)
+                    elif data is None:
+                        woken = True
+                    else:  # a replica's listener
+                        data._accept()
+                # After the events: a replica that leaves must not get one.
+                if woken and not self._join_and_leave():
+                    return
+                self._fire_timers()
+                for replica in self.replicas:
+                    replica._flush()
+        finally:
+            self._end()
+
+    def _join_and_leave(self) -> bool:
+        """Puts the replicas that started on the loop and takes off those
+        that stop; returns False, no longer taking new replicas, when none
+        is left."""
+        global _loop
+        self.waker.recv(4096)
+        with _lock:
+            joining, self.joining = self.joining, []
+            leaving, self.leaving = self.leaving, []
+        for replica in joining:
+            replica._attach()
+        for replica in leaving:
+            replica._detach()
+        with _lock:
+            for replica in leaving:
+                self.members.discard(replica)
+                replica.stopped.set()
+            if self.members:
+                return True
+            _loop = None
+            return False
+
+    def _fire_timers(self) -> None:
+        now = time.monotonic()
+        timers = self.timers
+        while timers and timers[0][0] <= now:
+            _, _, replica, token = heapq.heappop(timers)
+            if replica.on_loop:
+                replica._on_timer(token)
+
+    def _end(self) -> None:
+        global _loop
+        with _lock:
+            if _loop is self:  # an exception ended the loop
+                _loop = None
+            members, self.members = self.members, set()
+        for replica in members:
+            replica.on_loop = False
+            for sock in replica._sockets():
+                sock.close()
+        self.selector.close()
+        self.waker.close()
+        self.wake_end.close()
+        for replica in members:
+            replica.stopped.set()
 
 
 class Replica:
@@ -88,85 +207,90 @@ class Replica:
         self.acceptor = Acceptor(index, config)
         self.proposer = Proposer(proposer_pid(index), config, random.Random(index))
         self.local: Deque = deque()  # messages to this replica's own roles
-        self.timers: List[tuple] = []  # heap of (deadline, seq, token)
-        self.timer_seq = itertools.count()
         self.accepted: Dict[socket.socket, _Conn] = {}  # from clients and peers
         self.peers: Dict[int, _Conn] = {}  # outbound connections by replica
         self.reconnect: Dict[int, Tuple[float, float]] = {}  # replica -> (not before, pause)
         self.dirty: Set[_Conn] = set()  # connections with output queued this turn
-        self.stopping = False
         self.listener: Optional[socket.socket] = None
-        self.thread: Optional[threading.Thread] = None
+        self.loop: Optional[_Loop] = None
+        self.on_loop = False  # its listener is registered; loop thread only
+        self.stopping = False  # under _lock
+        self.stopped = threading.Event()  # set once its sockets are closed
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Binds the listener, then runs the loop on a thread of its own."""
+        """Binds the listener, then puts this replica on the process's loop
+        thread, which the first replica to start creates."""
+        global _loop
         self.listener = socket.create_server(self.addresses[self.index])
         self.listener.setblocking(False)
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(self.listener, READ)
-        # stop() writes a byte here to end a select() that would wait on.
-        self.waker, self.wake_end = socket.socketpair()
-        self.selector.register(self.waker, READ)
-        self.thread = threading.Thread(
-            target=self._run, daemon=True, name=f"replica-{self.index}")
-        self.thread.start()
+        with _lock:
+            if _loop is None:
+                loop = _Loop()
+                loop.thread.start()
+                _loop = loop
+            self.loop = _loop
+            _loop.members.add(self)
+            _loop.joining.append(self)
+            _loop.wake()
 
     def stop(self) -> None:
-        self.stopping = True
-        if self.thread is None:
+        """Takes this replica off the loop; returns once its sockets are
+        closed, and the loop thread has ended if this was the last replica."""
+        loop = self.loop
+        if loop is None:
             return
-        try:
-            self.wake_end.send(b"\0")
-        except OSError:
-            pass  # the loop has ended and closed it
-        self.thread.join()
+        with _lock:
+            if _loop is loop and not self.stopping:
+                self.stopping = True
+                loop.leaving.append(self)
+                loop.wake()
+        self.stopped.wait()
+        if _loop is not loop:  # the loop takes no more replicas, so it is ending
+            loop.thread.join()
 
-    def _run(self) -> None:
-        try:
-            timers = self.timers
-            while not self.stopping:
-                while timers and not self._timer_live(timers[0][2]):
-                    heapq.heappop(timers)
-                timeout = None
-                if timers:
-                    timeout = max(0.0, timers[0][0] - time.monotonic())
-                for key, events in self.selector.select(timeout):
-                    if key.data is not None:
-                        self._on_ready(key.data, events)
-                    elif key.fileobj is self.listener:
-                        self._accept()
-                self._fire_timers()
-                while self.local:
-                    self._dispatch(self.local.popleft(), None)
-                for conn in self.dirty:
-                    if not conn.connecting and not conn.closed:
-                        self._write(conn)
-                self.dirty.clear()
-        finally:
-            for conn in [*self.accepted.values(), *self.peers.values()]:
-                conn.sock.close()
-            for sock in (self.listener, self.waker, self.wake_end):
-                sock.close()
-            self.selector.close()
+    def _attach(self) -> None:
+        self.on_loop = True
+        self.loop.selector.register(self.listener, READ, self)
+        self.loop.replicas.append(self)
+
+    def _detach(self) -> None:
+        self.on_loop = False
+        self.loop.replicas.remove(self)
+        for sock in self._sockets():
+            self.loop.selector.unregister(sock)
+            sock.close()
+
+    def _sockets(self) -> List[socket.socket]:
+        return [self.listener, *self.accepted, *(conn.sock for conn in self.peers.values())]
+
+    def _flush(self) -> None:
+        """Ends a turn of the loop: handles the messages this replica sent
+        itself, then writes what the turn queued."""
+        while self.local:
+            self._dispatch(self.local.popleft(), None)
+        for conn in self.dirty:
+            if not conn.connecting and not conn.closed:
+                self._write(conn)
+        self.dirty.clear()
 
     def _timer_live(self, token) -> bool:
+        if not self.on_loop:
+            return False
         if type(token) is _Conn:  # a peer connect's deadline
             return token.connecting and not token.closed
         return self.proposer.timer_live(token)
 
-    def _fire_timers(self) -> None:
-        now = time.monotonic()
-        while self.timers and self.timers[0][0] <= now:
-            token = heapq.heappop(self.timers)[2]
-            if type(token) is not _Conn:
-                self._apply_effects(self.proposer.on_timer(token))
-            elif self._timer_live(token):
-                self._close(token)
+    def _on_timer(self, token) -> None:
+        if type(token) is not _Conn:
+            self._apply_effects(self.proposer.on_timer(token))
+        elif self._timer_live(token):
+            self._close(token)
 
     def _set_timer(self, seconds: float, token) -> None:
-        heapq.heappush(self.timers, (time.monotonic() + seconds, next(self.timer_seq), token))
+        loop = self.loop
+        heapq.heappush(loop.timers, (time.monotonic() + seconds, next(loop.timer_seq), self, token))
 
     # -- socket plumbing -------------------------------------------------------
 
@@ -175,9 +299,9 @@ class Replica:
             sock, _ = self.listener.accept()
         except OSError:
             return
-        conn = _Conn(sock, None, READ)
+        conn = _Conn(sock, self, None, READ)
         self.accepted[sock] = conn
-        self.selector.register(sock, READ, conn)
+        self.loop.selector.register(sock, READ, conn)
 
     def _on_ready(self, conn: _Conn, events: int) -> None:
         if conn.connecting:
@@ -220,19 +344,23 @@ class Replica:
                 self._close(conn)
                 return
             del conn.outbuf[:sent]
+            if len(conn.outbuf) > OUTBUF_MAX:  # it has stopped reading
+                self._close(conn)
+                return
         events = READ | WRITE if conn.outbuf else READ
         if events != conn.events:
             conn.events = events
-            self.selector.modify(conn.sock, events, conn)
+            self.loop.selector.modify(conn.sock, events, conn)
 
     def _close(self, conn: _Conn) -> None:
         conn.closed = True
-        self.selector.unregister(conn.sock)
+        self.loop.selector.unregister(conn.sock)
         conn.sock.close()
         if conn.peer is None:
             del self.accepted[conn.sock]
             return
-        # A failed connect or a dead peer: what was queued for it is lost.
+        # A failed connect, a dead peer or one that stopped reading: what
+        # was queued for it is lost.
         del self.peers[conn.peer]
         self._back_off(conn.peer)
 
@@ -253,9 +381,9 @@ class Replica:
         except OSError:  # an unresolvable name, or no descriptor left
             self._back_off(target)
             return None
-        conn = _Conn(sock, target, READ | WRITE)
+        conn = _Conn(sock, self, target, READ | WRITE)
         self.peers[target] = conn
-        self.selector.register(conn.sock, READ | WRITE, conn)
+        self.loop.selector.register(conn.sock, READ | WRITE, conn)
         if conn.sock.connect_ex(address) not in (0, errno.EINPROGRESS):
             self._close(conn)
             return None

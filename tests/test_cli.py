@@ -1,8 +1,13 @@
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import rmwreg
 from rmwreg.cli import main
 from rmwreg.core import Config, Mode
 from rmwreg.sim import SimConfig, run_workload, trace_to_jsonl
@@ -275,3 +280,35 @@ def test_client_reports_a_command_the_replica_could_not_apply(capsys):
     finally:
         for r in replicas:
             r.stop()
+
+
+def test_serve_processes_form_a_group(capsys):
+    # The deployment `serve` gives: one replica, and so one loop, per process.
+    from test_net import free_addresses
+
+    addrs = free_addresses(3)
+    group = ",".join(f"{h}:{p}" for h, p in addrs)
+    src = os.path.dirname(os.path.dirname(rmwreg.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    servers = [subprocess.Popen(
+        [sys.executable, "-m", "rmwreg.cli", "serve", "--replicas", group, "--index", str(i)],
+        stdout=subprocess.PIPE, text=True, env=env) for i in range(3)]
+    try:
+        for i, server in enumerate(servers):
+            assert server.stdout.readline().startswith(f"replica {i} listening on ")
+        client = ["client", "--replicas", group, "--connect"]
+        assert main(client + ["0", "set", "41"]) == 0
+        assert main(client + ["1", "add", "1"]) == 0
+        assert main(client + ["2", "get"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["done 41", "done 42", "42"]
+    finally:
+        for server in servers:
+            server.send_signal(signal.SIGINT)
+        try:
+            codes = [server.wait(5) for server in servers]
+        finally:
+            for server in servers:
+                server.kill()  # only one still running after its 5 s
+                server.stdout.close()
+    assert codes == [0, 0, 0]

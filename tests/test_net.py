@@ -1,5 +1,6 @@
 import select
 import socket
+import sys
 import threading
 import time
 
@@ -182,7 +183,7 @@ def test_threads_and_request_tables_stay_bounded():
                 adds[key] = adds.get(key, 0) + 1
             else:
                 assert f.get(key) == adds.get(key)
-        assert threading.active_count() <= before + len(replicas)  # one loop each
+        assert threading.active_count() == before + 1  # one loop for the group
         for r in replicas:
             assert r.proposer.requests == {}
             assert r.proposer.learned == {}
@@ -191,6 +192,7 @@ def test_threads_and_request_tables_stay_bounded():
             c.close()
         stop_times = [timed_stop(r) for r in replicas]
     assert max(stop_times) < 0.5
+    assert threading.active_count() == before  # the last stop() ended the loop
 
 
 def hung_address():
@@ -369,4 +371,115 @@ def test_command_that_fails_to_apply_leaves_the_replica_serving(group):
         assert f.get(b"k") == "abc"
         assert f.update(b"k", kv.SetCmd(2)) == ("done", 2)
     finally:
+        client.close()
+
+
+def test_loop_that_dies_closes_every_replica_and_releases_stop(group, monkeypatch):
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+
+    def explode(*args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(Proposer, "submit", explode)
+    addrs, replicas = group
+    sock = socket.create_connection(addrs[1], timeout=5)
+    try:
+        sock.sendall(codec.frame(ClientRequest(b"k", ReqKind.READ, b"", 0)))
+        assert read_message(sock, bytearray()) is None  # the loop closed it
+    finally:
+        sock.close()
+    stop_times = [timed_stop(r) for r in replicas]
+    assert max(stop_times) < 0.5
+    # The exception reached the hook, as a crash of any thread does.
+    [crash] = crashes
+    assert crash.exc_type is RuntimeError and crash.thread.name == "replica-loop"
+    for address in addrs:  # every replica's listener is closed
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+
+
+def test_stop_twice_or_before_start_returns_at_once():
+    addrs = free_addresses(3)
+    Replica(0, addrs, Config(n_acceptors=3)).stop()
+    [replica] = start_group(addrs, indexes=(0,))
+    assert timed_stop(replica) < 0.5
+    assert timed_stop(replica) < 0.05
+
+
+def test_replica_started_after_the_last_stop_gets_a_new_loop():
+    before = threading.active_count()
+    for _ in range(2):
+        addrs = free_addresses(3)
+        replicas = start_group(addrs)
+        client = NetClient(addrs[0], retries=0, timeout=5)
+        try:
+            f = client.facade(Mode.RMW)
+            assert f.update(b"k", kv.AddCmd(1)) == ("done", 1)
+        finally:
+            client.close()
+            for r in replicas:
+                r.stop()
+        assert threading.active_count() == before
+
+
+def test_replicas_joining_and_leaving_from_many_threads():
+    # Each worker starts and stops one-replica groups on the shared loop while
+    # the others do; a lost join leaves its client unanswered and a lost
+    # leave leaves its stop() waiting.
+    before = threading.active_count()
+    config = Config(n_acceptors=1, register_mode=Mode.RMW)
+    failures = []
+
+    def churn(worker):
+        try:
+            for i in range(25):
+                addrs = free_addresses(1)
+                replica = Replica(0, addrs, config)
+                replica.start()
+                client = NetClient(addrs[0], retries=0, timeout=2)
+                try:
+                    assert client.facade(Mode.RMW).put(b"k", [worker, i]) == [worker, i]
+                finally:
+                    client.close()
+                    replica.stop()
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=churn, args=(w,)) for w in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert failures == []
+    assert threading.active_count() == before
+
+
+def test_client_that_never_reads_is_closed(group, monkeypatch):
+    monkeypatch.setattr(net, "OUTBUF_MAX", 1 << 16)
+    addrs, _ = group
+    client = NetClient(addrs[0], retries=0, timeout=5)
+    hog = socket.socket()
+    try:
+        f = client.facade(Mode.RMW)
+        big = "x" * 20000
+        f.put(b"big", big)
+        hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        hog.settimeout(5)
+        hog.connect(addrs[0])
+        request = codec.frame(ClientRequest(b"big", ReqKind.READ, b"", 0))
+        deadline = time.monotonic() + 5
+        with pytest.raises(OSError):  # the replica hung up on it
+            while time.monotonic() < deadline:
+                hog.sendall(request)
+                assert f.get(b"big") == big  # the other client is served
+        assert f.update(b"k", kv.AddCmd(1)) == ("done", 1)
+    finally:
+        hog.close()
         client.close()
