@@ -228,23 +228,30 @@ def _is_prefix(a: List[str], b: List[str]) -> bool:
     return len(a) <= len(b) and b[: len(a)] == a
 
 
-def check_sequence(history: Sequence[HistoryEvent]) -> Verdict:
-    """CS-Nontriviality/Stability/Consistency/Update-Visibility/Update-Stability."""
-    verdict = Verdict()
-    ops = _ops_of(history)
-
-    reads = []
+def _read_sequences(ops, verdict: Verdict):
+    """Yields (read, its update sequence) for each answered read, in order.
+    At a read whose value is not an append-log payload, marks `verdict` not
+    checkable and stops."""
     for op in ops:
         if op.kind is ReqKind.READ and op.resp is not None:
             if op.status is Status.EMPTY:
-                reads.append((op, []))
+                yield op, []
             elif op.status is Status.DONE:
                 seq = sequence_of(op.result)
                 if seq is None:
                     verdict.checkable = False
                     verdict.flag("NotCheckable", "read value is not an append-log payload")
-                    return verdict
-                reads.append((op, seq))
+                    return
+                yield op, seq
+
+
+def check_sequence(history: Sequence[HistoryEvent]) -> Verdict:
+    """CS-Nontriviality/Stability/Consistency/Update-Visibility/Update-Stability."""
+    verdict = Verdict()
+    ops = _ops_of(history)
+    reads = list(_read_sequences(ops, verdict))
+    if not verdict.checkable:
+        return verdict
 
     submitted = {op.token for op in ops if op.kind is ReqKind.WRITE and op.token}
     for op, seq in reads:
@@ -301,22 +308,13 @@ def check_sequence(history: Sequence[HistoryEvent]) -> Verdict:
 def check_exactly_once(history: Sequence[HistoryEvent]) -> Verdict:
     """RMW strengthening: no update token may appear twice in a read value."""
     verdict = Verdict()
-    ops = _ops_of(history)
-    for op in ops:
-        if op.kind is ReqKind.READ and op.status is Status.DONE:
-            seq = sequence_of(op.result)
-            if seq is None:
-                verdict.checkable = False
-                verdict.flag("NotCheckable", "read value is not an append-log payload")
-                return verdict
-            counts: Dict[str, int] = {}
-            for token in seq:
-                counts[token] = counts.get(token, 0) + 1
-            for token, count in counts.items():
-                if count > 1:
-                    verdict.flag(
-                        "exactly-once", f"update {token} applied {count} times in {seq}"
-                    )
+    for _, seq in _read_sequences(_ops_of(history), verdict):
+        counts: Dict[str, int] = {}
+        for token in seq:
+            counts[token] = counts.get(token, 0) + 1
+        for token, count in counts.items():
+            if count > 1:
+                verdict.flag("exactly-once", f"update {token} applied {count} times in {seq}")
     return verdict
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from . import checker, kv
 from .core import ALL_MUTATIONS, Config, Mode, Value
@@ -192,14 +192,7 @@ def cmd_fuzz(args) -> int:
     try:
         if args.max_steps < 1:
             raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
-        config = Config(
-            n_acceptors=args.replicas,
-            register_mode=mode,
-            read_retry_limit=args.retries,
-            fast_writes=args.fast_writes,
-            batch_interval=args.batch_interval,
-            mutations=mutations,
-        )
+        config = _protocol_config(args, args.replicas, mutations)
         if args.script:
             scripts, fixed_crash = load_scripts(args.script)
         else:
@@ -329,13 +322,7 @@ def cmd_serve(args) -> int:
 
     addresses = args.replicas
     try:
-        config = Config(
-            n_acceptors=len(addresses),
-            register_mode=_parse_mode(args.mode),
-            read_retry_limit=args.retries,
-            fast_writes=args.fast_writes,
-            batch_interval=args.batch_interval,
-        )
+        config = _protocol_config(args, len(addresses))
         replica = Replica(args.index, addresses, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -402,6 +389,18 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
                    help="read retry limit before write-through escalation")
     p.add_argument("--fast-writes", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--batch-interval", type=int, default=0)
+
+
+def _protocol_config(args, n_acceptors: int, mutations: FrozenSet[str] = frozenset()) -> Config:
+    """The `Config` of `n_acceptors` that the protocol flags give."""
+    return Config(
+        n_acceptors=n_acceptors,
+        register_mode=_parse_mode(args.mode),
+        read_retry_limit=args.retries,
+        fast_writes=args.fast_writes,
+        batch_interval=args.batch_interval,
+        mutations=mutations,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import struct
 from operator import attrgetter, index
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
@@ -47,6 +48,12 @@ from .messages import (
 
 class CodecError(Exception):
     """Malformed or truncated encoding."""
+
+
+# The canonical JSON form of kv payloads, commands, set members and trace
+# records: sorted keys and no spaces. json.dumps with these arguments would
+# build a new encoder on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Kind(NamedTuple):
@@ -83,12 +90,12 @@ def optional(kind: Kind) -> Kind:
 
 def field_names(cls) -> Tuple[str, ...]:
     """The fields of a record type in the order its constructor takes them:
-    a `FrozenTuple`'s `_fields`, or a dataclass's fields."""
+    a namedtuple's `_fields`, or a dataclass's fields."""
     return getattr(cls, "_fields", None) or tuple(f.name for f in dataclasses.fields(cls))
 
 
 def record(cls, fields, json_list: bool = False) -> Kind:
-    """A dataclass or `FrozenTuple` as two or more `(name, kind)` fields in
+    """A dataclass or namedtuple as two or more `(name, kind)` fields in
     wire order, which name every declared field once. JSON is an object
     keyed by field name, or with `json_list` a list in wire order."""
     fields = tuple(fields)

@@ -5,20 +5,22 @@ Everything here is an immutable value; instances can be shared freely
 between state machines and execution contexts.
 
 `Round`, `ReqID` and `Value` (and `messages.Ticket`) are dict keys and set
-members on every protocol step, so they are `tuple` subclasses: hashing and
-equality are the tuple's own, done in C, and a value hashes as the plain
-tuple of its fields. Their fields are read-only properties; assigning one
-raises `FrozenInstanceError`, and `<` and the other orderings raise
-`TypeError`, as for a frozen dataclass. Equality is the tuple's too, so a
-`Round(3, 7)` equals a `ReqID(3, 7)` and the plain tuple `(3, 7)`. No dict
-or set may therefore mix these types, or them and plain tuples, as keys.
+members on every protocol step, so they are `namedtuple`s: hashing,
+equality and field reads are the tuple's own, done in C, and a value hashes
+as the plain tuple of its fields. `FrozenTuple`, first among their bases,
+makes assigning a field raise `FrozenInstanceError`, and `<` and the other
+orderings raise `TypeError`, as for a frozen dataclass. Nothing calls the
+namedtuple's `_make` or `_replace`, which would skip `Value`'s check.
+Equality is the tuple's, so a `Round(3, 7)` equals a `ReqID(3, 7)` and the
+plain tuple `(3, 7)`. No dict or set may therefore mix these types, or them
+and plain tuples, as keys.
 """
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
-from operator import itemgetter
-from typing import Callable, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Optional
 
 # Opaque process identifier. Total order is only used for deterministic
 # tie-breaking in tests and trace output; the protocol needs equality plus
@@ -45,11 +47,11 @@ def _unordered(op: str):
 
 
 class FrozenTuple(tuple):
-    """Base of the tuple-backed value types. A subclass sets `_fields`, a
-    `__new__` taking them in order, and a property per field."""
+    """Listed before the `namedtuple` in each value type's bases, it adds
+    what a frozen dataclass has and a namedtuple lacks: assigning a field
+    raises `FrozenInstanceError`, and ordering raises `TypeError`."""
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -62,31 +64,13 @@ class FrozenTuple(tuple):
     __gt__ = _unordered(">")
     __ge__ = _unordered(">=")
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
 
-    def __getnewargs__(self):  # copy and pickle call __new__ with the fields
-        return tuple(self)
-
-
-def tuple_field(index: int, doc: str) -> property:
-    """Read-only property for the `index`th field of a `FrozenTuple`."""
-    return property(itemgetter(index), doc=doc)
-
-
-class Round(FrozenTuple):
-    """Proposal round (n, id). Rounds with equal n but different id cannot
-    be ordered. The id is None only in the initial round."""
+class Round(FrozenTuple, namedtuple("Round", "n id", defaults=(None,))):
+    """Proposal round (n, id): the round number and its owning proposer.
+    Rounds with equal n but different id cannot be ordered. The id is None
+    only in the initial round."""
 
     __slots__ = ()
-    _fields = ("n", "id")
-
-    def __new__(cls, n: int, id: Optional[ProcessId] = None):
-        return tuple.__new__(cls, (n, id))
-
-    n = tuple_field(0, "round number")
-    id = tuple_field(1, "owning proposer; None only in the initial round")
 
 
 ROUND_ZERO = Round(0, None)
@@ -117,39 +101,30 @@ def next_explicit_round(observed: Iterable[Round], proposer: ProcessId) -> Round
     return Round(max(r.n for r in rounds) + 1, proposer)
 
 
-class ReqID(FrozenTuple):
-    """Per-write unique identifier: owner pid plus a locally unique counter.
+class ReqID(FrozenTuple, namedtuple("ReqID", "pid seq")):
+    """Per-write unique identifier: the owning proposer's pid plus a
+    counter of that owner's.
 
     The counter must survive proposer recoveries; (pid, seq) pairs are
     never reused.
     """
 
     __slots__ = ()
-    _fields = ("pid", "seq")
-
-    def __new__(cls, pid: ProcessId, seq: int):
-        return tuple.__new__(cls, (pid, seq))
-
-    pid = tuple_field(0, "owning proposer")
-    seq = tuple_field(1, "the owner's counter")
 
 
-class Value(FrozenTuple):
-    """Register value: opaque payload bytes plus an explicit empty flag.
+class Value(FrozenTuple, namedtuple("Value", "payload empty")):
+    """Register value: opaque payload bytes plus an explicit empty flag,
+    true only for the distinguished empty value, which carries no payload.
 
     The distinguished empty value is not the same as an empty payload.
     """
 
     __slots__ = ()
-    _fields = ("payload", "empty")
 
     def __new__(cls, payload: bytes = b"", empty: bool = False):
         if empty and payload:
             raise ValueError("empty value carries no payload")
         return tuple.__new__(cls, (payload, empty))
-
-    payload = tuple_field(0, "the value's bytes; none when empty")
-    empty = tuple_field(1, "true only for the distinguished empty value")
 
 
 EMPTY = Value(b"", True)

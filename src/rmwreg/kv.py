@@ -15,14 +15,9 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Callable, List, Optional, Tuple
 
+from .codec import canonical_json as _encode
 from .core import EMPTY, CommandError, Mode, UpdateCommand, Value
 from .messages import ReqKind, Status
-
-
-# The canonical JSON form of payloads, commands and set members. json.dumps
-# with these arguments would build a new encoder on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_encode = _ENCODER.encode
 
 
 def to_payload(obj: Any) -> Value:

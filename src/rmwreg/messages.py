@@ -11,10 +11,10 @@ per send, and a frozen `__init__` stores each field through
 `object.__setattr__`, about four times the cost. They are unhashable and are
 never reassigned after construction;
 `tests/test_sim.py::test_records_are_never_reassigned` checks that. `Ticket`
-is a value, like `core.Round`: a `tuple` subclass with read-only fields,
-hashed and compared as the plain tuple of its fields, so a `Ticket(1, 2)`
-equals `(1, 2)` and a `Round(1, 2)` (see `rmwreg.core`). One is built per
-attempt and shared by the attempt's messages.
+is a value, like `core.Round`: a frozen `namedtuple`, hashed and compared as
+the plain tuple of its fields, so a `Ticket(1, 2)` equals `(1, 2)` and a
+`Round(1, 2)` (see `rmwreg.core`). One is built per attempt and shared by
+the attempt's messages.
 
 Effects are descriptions, not actions: `Send` a message, `Reply` to a
 client, `SetTimer` for a wakeup. The acceptor returns only `Send`s; the
@@ -24,23 +24,18 @@ slotted records too.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import FrozenTuple, ProcessId, ReqID, Round, Value, tuple_field
+from .core import FrozenTuple, ProcessId, ReqID, Round, Value
 
 
-class Ticket(FrozenTuple):
-    """(request, instance) pair; instance counts protocol restarts."""
+class Ticket(FrozenTuple, namedtuple("Ticket", "request instance")):
+    """(request, instance): the proposer's request id, and how many times
+    that request restarted."""
 
     __slots__ = ()
-    _fields = ("request", "instance")
-
-    def __new__(cls, request: int, instance: int):
-        return tuple.__new__(cls, (request, instance))
-
-    request = tuple_field(0, "the proposer's request id")
-    instance = tuple_field(1, "how many times the request restarted")
 
 
 class ReqKind(enum.Enum):

@@ -449,7 +449,10 @@ class Replica:
 
 class NetClient:
     """Blocking client against one replica; presents the KvFacade submit
-    contract. Reconnects and retries on connection loss."""
+    contract. Reconnects and retries on connection loss, except that a
+    command that is not idempotent is sent at most once: once its bytes may
+    have reached the replica, a failure returns UNAVAILABLE, its outcome
+    unknown, as a resend could apply it twice."""
 
     def __init__(self, address: Tuple[str, int], retries: int = 3, timeout: float = 10.0):
         self.address = address
@@ -477,9 +480,12 @@ class NetClient:
         seq = self.seq
         self.seq += 1
         request = ClientRequest(key, kind, payload, seq)
+        resend = cmd is None or cmd.idempotent
         for _ in range(self.retries + 1):
+            sent = False
             try:
                 sock = self._connect()
+                sent = True
                 sock.sendall(codec.frame(request))
                 while True:
                     for reply in codec.unframe(self.inbuf):
@@ -491,6 +497,8 @@ class NetClient:
                     self.inbuf += data
             except (OSError, codec.CodecError):
                 self.close()
+                if sent and not resend:
+                    break
         return Status.UNAVAILABLE, EMPTY
 
     def facade(self, mode) -> KvFacade:

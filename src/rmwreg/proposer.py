@@ -72,15 +72,6 @@ class FastToken:
 
 
 @dataclass(slots=True)
-class Proposal:
-    round: Round
-    value: Value
-    req_cur: Optional[ReqID]
-    req_prev: Optional[ReqID]
-    writethrough: bool = False
-
-
-@dataclass(slots=True)
 class Request:
     """One admitted client request and its protocol attempt state. A read
     is one with `kind` READ, escalated or not."""
@@ -94,16 +85,18 @@ class Request:
     own_value: Optional[Value] = None  # write-once literal, fixed at admission
 
     instance: int = 0
-    phase: str = "p1"  # p1 | p1x | p2 | done
+    phase: str = "p1"  # p1 | p2 | done
     acks: Dict[ProcessId, Ack] = field(default_factory=dict)
     pool: List[Ack] = field(default_factory=list)  # reads: replies across attempts
     evidence: List[Round] = field(default_factory=list)
-    proposal: Optional[Proposal] = None
+    proposal: Optional[Vote] = None  # the phase-2 message of this instance
+    writethrough: bool = False  # the proposal consolidates someone's value
     voters: set = field(default_factory=set)
     retry_count: int = 0
     prev_rounds: Optional[tuple] = None
     escalated: bool = False  # read forced onto the write path
     proposed: bool = False  # some instance of this request reached phase 2
+    learned: bool = False  # an RMW write's LEARNED notice arrived
     backoff: int = 0
     pending_round: Optional[Round] = None  # explicit round waiting on backoff
     pending_clients: List[Tuple[object, int]] = field(default_factory=list)
@@ -116,8 +109,6 @@ class Request:
 
 @dataclass
 class ProposerStats:
-    submitted: int = 0
-    completed: int = 0
     write_throughs: int = 0
     fast_writes: int = 0
     restarts: int = 0
@@ -135,7 +126,6 @@ class Proposer:
         self.next_rid = 0
         self.next_seq = 0  # ReqID counter; never reused, survives recovery
         self.fast: Dict[bytes, FastToken] = {}
-        self.learned: Dict[ReqID, bool] = {}
         self.batch_reads: Dict[bytes, List[Tuple[object, int]]] = {}
         self.batch_writes: Dict[bytes, List[Tuple[UpdateCommand, object, int]]] = {}
         self.batch_timer_armed = False
@@ -160,7 +150,6 @@ class Proposer:
         client_seq: int,
     ) -> List[Effect]:
         """Admit one client request. Writes carry an update command."""
-        self.stats.submitted += 1
         if self.config.batch_interval > 0:
             return self._enqueue_batch(key, kind, cmd, client, client_seq)
         if kind is ReqKind.READ:
@@ -215,7 +204,7 @@ class Proposer:
 
     def _fast_write(self, req: Request, token: FastToken) -> List[Effect]:
         del self.fast[req.key]  # consumed; refreshed on success
-        if req.reqid in self.learned:
+        if req.learned:
             return self._finish(req, Status.DONE, token.base)
         self.stats.fast_writes += 1
         # This instance starts without a phase-1 broadcast, so it has no
@@ -238,7 +227,7 @@ class Proposer:
         is_read = req.kind is ReqKind.READ
         if is_read:
             req.pool.append(ack)
-        if ack.ticket.instance != req.instance or req.phase not in ("p1", "p1x"):
+        if ack.ticket.instance != req.instance or req.phase != "p1":
             if is_read:
                 return self._evaluate_read_pool(req)
             return []
@@ -283,8 +272,9 @@ class Proposer:
         # Only record the fact. LEARNED does not say which of this request's
         # proposals was chosen, so the reply value has to come from a later
         # phase-1 quorum; `_settled` finishes the request from there.
-        if learned.req in self.open_writes:
-            self.learned[learned.req] = True
+        req = self.open_writes.get(learned.req)
+        if req is not None:
+            req.learned = True
         return []
 
     def on_recover(self) -> List[Effect]:
@@ -294,14 +284,14 @@ class Proposer:
         may be among the lost messages, so retrying could apply the command
         twice. Such requests are abandoned: the client never hears back and
         must treat the outcome as unknown. Fast-write grants predate the
-        crash and are dropped as stale."""
+        crash and are dropped as stale. The batch timer may have fired in
+        the crash window, so whatever is batched starts now."""
         self.fast.clear()
-        if self.config.register_mode is not Mode.RMW:
-            return []
-        for req in list(self.open_writes.values()):
-            if req.proposed:
-                self._evict(req)
-        return []
+        if self.config.register_mode is Mode.RMW:
+            for req in list(self.open_writes.values()):
+                if req.proposed:
+                    self._evict(req)
+        return self._flush_batches()
 
     def timer_live(self, token: tuple) -> bool:
         """False when firing `token` would do nothing: its request has been
@@ -401,7 +391,7 @@ class Proposer:
             # A consistent, fully unvoted quorum: nothing was ever chosen,
             # so the read may return empty without proposing anything.
             return self._finish(req, Status.EMPTY, EMPTY)
-        if req.reqid in self.learned:
+        if req.learned:
             return self._finish(req, Status.DONE, EMPTY)
         if self.config.register_mode is Mode.WRITE_ONCE:
             return self._propose(req, round, req.own_value, req.reqid, None)
@@ -417,7 +407,7 @@ class Proposer:
             return self._finish(req, Status.DONE, chosen)
         if self.config.register_mode is Mode.WRITE_ONCE:
             return self._finish_write_once(req, chosen)
-        if req.reqid is not None and (chosen_req == req.reqid or req.reqid in self.learned):
+        if req.reqid is not None and (chosen_req == req.reqid or req.learned):
             return self._finish(req, Status.DONE, chosen)
         return None
 
@@ -427,7 +417,7 @@ class Proposer:
         value, replies = self._apply_commands(req, base)
         if value is None:
             # Every command reduced to a no-op; phase 2 is unnecessary.
-            self._complete(req)
+            self._evict(req)
             return replies
         return self._propose(req, round, value, req.reqid, base_req, pre_replies=replies)
 
@@ -473,10 +463,10 @@ class Proposer:
         req.phase = "p2"
         req.proposed = True
         req.voters = set()
-        req.proposal = Proposal(round, value, req_cur, req_prev, writethrough)
+        req.writethrough = writethrough
         ticket = Ticket(req.rid, req.instance)
+        vote = req.proposal = Vote(req.key, self.pid, round, value, req_cur, req_prev, ticket)
         effects: List[Effect] = list(pre_replies or [])
-        vote = Vote(req.key, self.pid, round, value, req_cur, req_prev, ticket)
         effects.extend(Send(a, vote) for a in self._acceptors())
         return effects
 
@@ -489,7 +479,7 @@ class Proposer:
             else:
                 next_round = Round(prop.round.n + 1, prop.round.id)
             self.fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
-        if not prop.writethrough:
+        if not req.writethrough:
             return self._finish(req, Status.DONE, chosen)
 
         # A write-through only consolidates someone's unfinished consensus;
@@ -509,7 +499,6 @@ class Proposer:
             evidence.append(req.proposal.round)
         next_round = next_explicit_round(evidence, self.pid)
         self._reset_instance(req)
-        req.phase = "p1x"
         req.pending_round = next_round
         # Retrying immediately lets duelling proposers invalidate each other
         # forever; a randomized, growing pause lets one of them finish.
@@ -540,12 +529,8 @@ class Proposer:
             if (client, seq) not in req.replied
         ]
         req.replied.update(targets)
-        self._complete(req)
-        return effects
-
-    def _complete(self, req: Request) -> None:
-        self.stats.completed += 1
         self._evict(req)
+        return effects
 
     def _evict(self, req: Request) -> None:
         # Late replies, timers and LEARNED notices for an evicted request
@@ -554,8 +539,6 @@ class Proposer:
         self.requests.pop(req.rid, None)
         if req.reqid is not None:
             self.open_writes.pop(req.reqid, None)
-            # LEARNED only matters while its request may still retry.
-            self.learned.pop(req.reqid, None)
 
     # -- batching --------------------------------------------------------------
 

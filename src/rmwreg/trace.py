@@ -140,13 +140,9 @@ def event_from_record(rec: dict):
     return kind.from_json(rec)
 
 
-# json.dumps with these arguments would build a new encoder on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def write_trace(trace: Iterable[object], fp: BinaryIO) -> None:
     """Writes `trace` to the binary file `fp`, one record per line."""
-    encode = _ENCODER.encode
+    encode = codec.canonical_json
     for ev in trace:
         fp.write((encode(event_to_record(ev)) + "\n").encode())
 

@@ -186,7 +186,6 @@ def test_threads_and_request_tables_stay_bounded():
         assert threading.active_count() == before + 1  # one loop for the group
         for r in replicas:
             assert r.proposer.requests == {}
-            assert r.proposer.learned == {}
     finally:
         for c in clients:
             c.close()
@@ -310,6 +309,42 @@ def test_client_gives_up_when_the_replica_hangs_up_mid_frame():
         assert client.inbuf == bytearray()
     finally:
         client.close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def test_client_never_resends_a_command_that_is_not_idempotent():
+    """A replica that reads each request and hangs up unanswered may have
+    applied it: an add is sent once and its outcome reported unknown, while
+    a set, which may apply twice, is still retried."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    commands = []
+    done = threading.Event()
+
+    def serve():
+        with listener:
+            while not done.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                with conn:
+                    conn.settimeout(5)
+                    if (request := read_message(conn, bytearray())) is not None:
+                        commands.append(kv.decode_command(request.command))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    client = NetClient(listener.getsockname(), retries=3, timeout=5)
+    try:
+        assert client.submit(b"k", ReqKind.WRITE, kv.AddCmd(1)) == (Status.UNAVAILABLE, EMPTY)
+        assert commands == [kv.AddCmd(1)]
+        assert client.submit(b"k", ReqKind.WRITE, kv.SetCmd(2)) == (Status.UNAVAILABLE, EMPTY)
+        assert commands == [kv.AddCmd(1)] + [kv.SetCmd(2)] * 4
+    finally:
+        client.close()
+        done.set()
     thread.join(5)
     assert not thread.is_alive()
 

@@ -373,7 +373,6 @@ def test_finished_requests_are_evicted():
     assert [r.status for r in net.replies] == [Status.DONE, Status.DONE]
     assert net.proposer.requests == {}
     assert net.proposer.open_writes == {}
-    assert net.proposer.learned == {}
 
 
 def test_late_messages_for_an_evicted_request_do_nothing():
@@ -388,7 +387,6 @@ def test_late_messages_for_an_evicted_request_do_nothing():
         assert net.proposer.on_message(msg) == []
     for timer in net.timers:
         assert net.proposer.on_timer(timer.token) == []
-    assert net.proposer.learned == {}
 
 
 def test_write_abandoned_on_recover_is_evicted():
@@ -402,7 +400,6 @@ def test_write_abandoned_on_recover_is_evicted():
     assert net.proposer.requests == {}
     assert net.proposer.open_writes == {}
     assert net.proposer.on_message(Learned(b"k", 0, ReqID(net.proposer.pid, 0))) == []
-    assert net.proposer.learned == {}
     net.fire_timers()
     assert net.replies == [] and net.queue == deque()
 

@@ -221,6 +221,22 @@ def test_crashed_proposer_leaves_request_pending():
     assert not [e for e in res.history() if e.kind == "respond"]
 
 
+@pytest.mark.parametrize("mode", [Mode.SEQUENCE, Mode.RMW])
+def test_recovered_proposer_starts_what_it_batched(mode):
+    """The batch timer fires while the proposer is down and is dropped;
+    recovery must start the batched write, or it and every later request of
+    the client wait on a timer that no longer exists."""
+    cfg = Config(n_acceptors=3, register_mode=mode, batch_interval=5)
+    sim = SimConfig(seed=4, fifo=True, crash_plan=((2, PROPOSER_BASE, "crash"),
+                                                   (10, PROPOSER_BASE, "recover")))
+    res = run_workload(cfg, sim, [script(0, (W, R, W, R))])
+    assert res.quiescent
+    assert [e.kind for e in res.history()].count("respond") == 4
+    proposer = res.world.proposers[PROPOSER_BASE]
+    assert proposer.batch_writes == {} and not proposer.batch_timer_armed
+    assert proposer.requests == {}
+
+
 def test_loop_until_generates_unique_tokens():
     cfg = Config(n_acceptors=3, register_mode=Mode.RMW)
     res = run_workload(cfg, SimConfig(seed=2, fifo=True),
