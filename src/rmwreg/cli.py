@@ -388,7 +388,9 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=int, default=2, metavar="X",
                    help="read retry limit before write-through escalation")
     p.add_argument("--fast-writes", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--batch-interval", type=int, default=0)
+    p.add_argument("--batch-interval", type=int, default=0, metavar="TICKS",
+                   help="hold requests this many timer ticks (50 ms each on serve) and "
+                        "start one request per key and kind; 0 disables batching")
 
 
 def _protocol_config(args, n_acceptors: int, mutations: FrozenSet[str] = frozenset()) -> Config:

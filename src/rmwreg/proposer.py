@@ -71,16 +71,22 @@ class FastToken:
     base_req: Optional[ReqID]
 
 
+# (command, client, client_seq) of a client still owed an answer; a read's command is None
+Waiting = Tuple[Optional[UpdateCommand], object, int]
+
+
 @dataclass(slots=True)
 class Request:
-    """One admitted client request and its protocol attempt state. A read
-    is one with `kind` READ, escalated or not."""
+    """One admitted request, for one client or a batch of them, and its
+    protocol attempt state. A read is one with `kind` READ, escalated or
+    not. `waiting` holds the clients not yet answered, in admission order;
+    each answer takes its entry out, so no client is answered twice and no
+    answered command is applied again."""
 
     rid: int
     key: bytes
     kind: ReqKind
-    cmds: List[UpdateCommand] = field(default_factory=list)
-    clients: List[Tuple[object, int]] = field(default_factory=list)
+    waiting: List[Waiting]
     reqid: Optional[ReqID] = None
     own_value: Optional[Value] = None  # write-once literal, fixed at admission
 
@@ -99,8 +105,6 @@ class Request:
     learned: bool = False  # an RMW write's LEARNED notice arrived
     backoff: int = 0
     pending_round: Optional[Round] = None  # explicit round waiting on backoff
-    pending_clients: List[Tuple[object, int]] = field(default_factory=list)
-    replied: set = field(default_factory=set)  # (client, seq) answered already
 
     @property
     def done(self) -> bool:
@@ -126,9 +130,8 @@ class Proposer:
         self.next_rid = 0
         self.next_seq = 0  # ReqID counter; never reused, survives recovery
         self.fast: Dict[bytes, FastToken] = {}
-        self.batch_reads: Dict[bytes, List[Tuple[object, int]]] = {}
-        self.batch_writes: Dict[bytes, List[Tuple[UpdateCommand, object, int]]] = {}
-        self.batch_timer_armed = False
+        # Requests held for the batch timer, which runs while this is non-empty.
+        self.batched: Dict[Tuple[ReqKind, bytes], List[Waiting]] = {}
         self.stats = ProposerStats()
         self.quorum = 1 if MUT_SUB_QUORUM in config.mutations else quorum_size(config.n_acceptors)
 
@@ -150,19 +153,18 @@ class Proposer:
         client_seq: int,
     ) -> List[Effect]:
         """Admit one client request. Writes carry an update command."""
+        entry = (cmd, client, client_seq)
         if self.config.batch_interval > 0:
-            return self._enqueue_batch(key, kind, cmd, client, client_seq)
-        if kind is ReqKind.READ:
-            req = self._new_request(key, ReqKind.READ, [], [(client, client_seq)])
-        else:
-            req = self._new_request(key, ReqKind.WRITE, [cmd], [(client, client_seq)])
-        return self._start(req)
+            timer = [] if self.batched else [SetTimer(self.config.batch_interval, ("batch",))]
+            self.batched.setdefault((kind, key), []).append(entry)
+            return timer
+        return self._start(self._new_request(key, kind, [entry]))
 
-    def _new_request(self, key, kind, cmds, clients) -> Request:
-        """The request takes ownership of the `cmds` and `clients` lists."""
+    def _new_request(self, key, kind, waiting) -> Request:
+        """The request takes ownership of the `waiting` list."""
         rid = self.next_rid
         self.next_rid += 1
-        req = Request(rid, key, kind, cmds, clients)
+        req = Request(rid, key, kind, waiting)
         # Request ids drive the exactly-once machinery, which exists only in
         # RMW mode; the other modes never emit LEARNED.
         if kind is ReqKind.WRITE and self.config.register_mode is Mode.RMW:
@@ -173,22 +175,24 @@ class Proposer:
         return req
 
     def _start(self, req: Request) -> List[Effect]:
+        effects: List[Effect] = []
         if req.kind is ReqKind.WRITE:
-            if self.config.register_mode is Mode.WRITE_ONCE:
-                try:
-                    req.own_value = apply_command(req.cmds[0], EMPTY)
-                except CommandError as exc:
-                    return self._finish(req, Status.ERROR, Value(str(exc).encode()))
+            write_once = self.config.register_mode is Mode.WRITE_ONCE
+            if write_once:
+                # The first literal is proposed; a writer without one is
+                # answered now.
+                req.own_value, effects = self._apply_commands(req, EMPTY)
                 if req.own_value is None:
-                    return self._finish(req, Status.NOOP, EMPTY)
+                    self._evict(req)
+                    return effects
             token = self.fast.get(req.key)
             if token is not None and self.config.fast_writes:
-                if self.config.register_mode is Mode.WRITE_ONCE:
-                    # The token proves a value is chosen; a second write can
-                    # be answered without touching the network.
-                    return self._finish_write_once(req, token.base)
-                return self._fast_write(req, token)
-        return self._broadcast_prepare(req)
+                # A write-once token proves a value is chosen; a second
+                # write can be answered without touching the network.
+                if write_once:
+                    return effects + self._finish_write_once(req, token.base)
+                return effects + self._fast_write(req, token)
+        return effects + self._broadcast_prepare(req)
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
         kind = ReqKind.WRITE if (req.kind is ReqKind.WRITE or req.escalated) else ReqKind.READ
@@ -419,36 +423,37 @@ class Proposer:
             # Every command reduced to a no-op; phase 2 is unnecessary.
             self._evict(req)
             return replies
-        return self._propose(req, round, value, req.reqid, base_req, pre_replies=replies)
+        return replies + self._propose(req, round, value, req.reqid, base_req)
 
     def _apply_commands(self, req: Request, base: Value):
-        """Apply the request's commands in admission order; returns the final
-        value (None when nothing changed) plus immediate replies: NOOP for a
-        command without effect, ERROR for one that failed. Either leaves the
-        value as it was."""
+        """Apply the waiting commands in admission order, each to the value
+        the one before left; in write-once mode each to `base`, and the
+        value is the first one's literal. A command without effect is
+        answered NOOP and one that fails ERROR, against the value it met,
+        and its entry leaves `waiting`. Returns the value to propose (None
+        when no command changed anything) and those replies."""
+        chain = self.config.register_mode is not Mode.WRITE_ONCE
         current = base
-        changed = False
+        value = None
         replies: List[Effect] = []
-        pending: List[Tuple[object, int]] = []
-        for cmd, (client, seq) in zip(req.cmds, req.clients):
+        kept: List[Waiting] = []
+        for entry in req.waiting:
+            cmd, client, seq = entry
             try:
                 result = apply_command(cmd, current)
             except CommandError as exc:
-                reply = Reply(client, Status.ERROR, Value(str(exc).encode()), seq)
-            else:
-                if result is not None:
-                    current = result
-                    changed = True
-                    pending.append((client, seq))
-                    continue
-                reply = Reply(client, Status.NOOP, current, seq)
-            if (client, seq) not in req.replied:
-                req.replied.add((client, seq))
-                replies.append(reply)
-        req.pending_clients = pending
-        if not changed:
-            return None, replies
-        return current, replies
+                replies.append(Reply(client, Status.ERROR, Value(str(exc).encode()), seq))
+                continue
+            if result is None:
+                replies.append(Reply(client, Status.NOOP, current, seq))
+                continue
+            kept.append(entry)
+            if chain:
+                current = value = result
+            elif value is None:
+                value = result
+        req.waiting = kept
+        return value, replies
 
     def _propose(
         self,
@@ -458,7 +463,6 @@ class Proposer:
         req_cur: Optional[ReqID],
         req_prev: Optional[ReqID],
         writethrough: bool = False,
-        pre_replies: Optional[List[Effect]] = None,
     ) -> List[Effect]:
         req.phase = "p2"
         req.proposed = True
@@ -466,9 +470,7 @@ class Proposer:
         req.writethrough = writethrough
         ticket = Ticket(req.rid, req.instance)
         vote = req.proposal = Vote(req.key, self.pid, round, value, req_cur, req_prev, ticket)
-        effects: List[Effect] = list(pre_replies or [])
-        effects.extend(Send(a, vote) for a in self._acceptors())
-        return effects
+        return [Send(a, vote) for a in self._acceptors()]
 
     def _proposal_chosen(self, req: Request) -> List[Effect]:
         prop = req.proposal
@@ -479,14 +481,13 @@ class Proposer:
             else:
                 next_round = Round(prop.round.n + 1, prop.round.id)
             self.fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
-        if not req.writethrough:
-            return self._finish(req, Status.DONE, chosen)
-
-        # A write-through only consolidates someone's unfinished consensus;
-        # the client's own command still has to be processed.
         settled = self._settled(req, chosen, prop.req_cur)
         if settled is not None:
             return settled
+        if not req.writethrough:  # a sequence register's own proposal
+            return self._finish(req, Status.DONE, chosen)
+        # A write-through only consolidates someone's unfinished consensus;
+        # the client's own command still has to be processed.
         token = self.fast.get(req.key)
         if token is not None and self.config.fast_writes:
             return self._fast_write(req, token)
@@ -517,54 +518,39 @@ class Proposer:
         req.evidence = []
 
     def _finish_write_once(self, req: Request, chosen: Value) -> List[Effect]:
-        if req.own_value is not None and chosen == req.own_value:
-            return self._finish(req, Status.DONE, chosen)
-        return self._finish(req, Status.ALREADY_CHOSEN, chosen)
+        """DONE to each writer whose own literal was chosen, ALREADY_CHOSEN
+        to the rest."""
+        effects = [
+            Reply(client, Status.DONE if apply_command(cmd, EMPTY) == chosen
+                  else Status.ALREADY_CHOSEN, chosen, seq)
+            for cmd, client, seq in req.waiting
+        ]
+        self._evict(req)
+        return effects
 
     def _finish(self, req: Request, status: Status, value: Value) -> List[Effect]:
-        targets = req.pending_clients or req.clients
-        effects = [
-            Reply(client, status, value, seq)
-            for client, seq in targets
-            if (client, seq) not in req.replied
-        ]
-        req.replied.update(targets)
+        """Answer every client still waiting on `req`, and retire it."""
+        effects = [Reply(client, status, value, seq) for _, client, seq in req.waiting]
         self._evict(req)
         return effects
 
     def _evict(self, req: Request) -> None:
         # Late replies, timers and LEARNED notices for an evicted request
-        # find nothing and are ignored.
+        # find nothing and are ignored, and nobody waits on it any more.
         req.phase = "done"
+        req.waiting = []
         self.requests.pop(req.rid, None)
         if req.reqid is not None:
             self.open_writes.pop(req.reqid, None)
 
     # -- batching --------------------------------------------------------------
 
-    def _enqueue_batch(self, key, kind, cmd, client, client_seq) -> List[Effect]:
-        if kind is ReqKind.READ:
-            self.batch_reads.setdefault(key, []).append((client, client_seq))
-        else:
-            self.batch_writes.setdefault(key, []).append((cmd, client, client_seq))
-        if not self.batch_timer_armed:
-            self.batch_timer_armed = True
-            return [SetTimer(self.config.batch_interval, ("batch",))]
-        return []
-
     def _flush_batches(self) -> List[Effect]:
+        """Start one request per batched (kind, key), in arrival order."""
         effects: List[Effect] = []
-        reads, self.batch_reads = self.batch_reads, {}
-        writes, self.batch_writes = self.batch_writes, {}
-        for key, clients in reads.items():
-            req = self._new_request(key, ReqKind.READ, [], clients)
-            effects.extend(self._start(req))
-        for key, entries in writes.items():
-            cmds = [cmd for cmd, _, _ in entries]
-            clients = [(client, seq) for _, client, seq in entries]
-            req = self._new_request(key, ReqKind.WRITE, cmds, clients)
-            effects.extend(self._start(req))
-        self.batch_timer_armed = False
+        batched, self.batched = self.batched, {}
+        for (kind, key), waiting in batched.items():
+            effects.extend(self._start(self._new_request(key, kind, waiting)))
         return effects
 
 

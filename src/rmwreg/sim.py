@@ -112,6 +112,7 @@ class _ClientState:
     script: ClientScript
     issued: int = 0
     finished: bool = False
+    # (key, kind, token) of each submitted op until its reply arrives
     ops_meta: Dict[int, Tuple[bytes, ReqKind, Optional[str]]] = field(default_factory=dict)
 
 
@@ -130,10 +131,14 @@ class World:
         self._getrandbits = self.rng.getrandbits
         self.acceptors = {pid: Acceptor(pid, config) for pid in range(config.n_acceptors)}
         self.proposers: Dict[ProcessId, Proposer] = {}
+        self.clients: Dict[int, _ClientState] = {}
         for script in scripts:
             if not script.ops and script.loop_until is not None:
                 raise ValueError(f"client {script.client} loops until tick "
                                  f"{script.loop_until} over an empty op list")
+            if script.client in self.clients:
+                raise ValueError(f"client {script.client} has two scripts")
+            self.clients[script.client] = _ClientState(script)
             if script.proposer not in self.proposers:
                 self.proposers[script.proposer] = Proposer(
                     script.proposer, config, random.Random(f"{sim.seed}/{script.proposer}")
@@ -141,7 +146,6 @@ class World:
         self.down: set = set()
         self.trace: List[object] = []
         self.histories: Dict[bytes, List[HistoryEvent]] = {}
-        self.clients = {s.client: _ClientState(s) for s in scripts}
         self.send_count = 0
         self.tick = 0
         self.steps = 0
@@ -151,6 +155,8 @@ class World:
         for script in scripts:
             self._push(script.start_tick, ("invoke", script.client))
         for tick, pid, action in sim.crash_plan:
+            if action not in ("crash", "recover"):
+                raise ValueError(f"crash plan action must be 'crash' or 'recover', got {action!r}")
             self._push(tick, (action, pid))
 
     # -- scheduling ----------------------------------------------------------
@@ -246,7 +252,10 @@ class World:
     def _client_response(self, reply: Reply, depth: int) -> None:
         client = reply.client
         cs = self.clients[client]
-        key, kind, token = cs.ops_meta[reply.client_seq]
+        meta = cs.ops_meta.pop(reply.client_seq, None)
+        if meta is None:
+            raise RuntimeError(f"client {client} op {reply.client_seq} answered twice")
+        key, kind, token = meta
         self.trace.append(
             ClientResponseEv(
                 self.tick, client, reply.client_seq, key, reply.status, reply.value, depth

@@ -179,6 +179,13 @@ MISSING = "missing"  # as `script`: --script names a file that does not exist
     pytest.param([], {"clients": [{"client": 0, "ops": [], "loop_until": 50}]},
                  "client 0 loops until tick 50 over an empty op list",
                  id="script-empty-looping-client"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}]}],
+                      "crash_plan": [[5, 0, "explode"]]},
+                 "crash plan action must be 'crash' or 'recover', got 'explode'",
+                 id="script-unknown-crash-action"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}]},
+                                  {"client": 0, "proposer": 1, "ops": [{"op": "read"}]}]},
+                 "client 0 has two scripts", id="script-client-twice"),
 ])
 def test_bad_fuzz_input_exits_2_before_any_seed(tmp_path, capsys, argv, script, message):
     if script is not None:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from rmwreg.acceptor import Acceptor, AcceptorState
 from rmwreg.core import EMPTY, CommandError, Config, FnCommand, Mode, Round, Value
-from rmwreg.kv import AddCmd, SetCmd, append_token
+from rmwreg.kv import AddCmd, CasCmd, SetCmd, append_token, from_payload, to_payload
 from rmwreg.core import ReqID
 from rmwreg.messages import Ack, Learned, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote, Voted
 from rmwreg.proposer import Proposer, Reply, Send, SetTimer
@@ -339,6 +339,139 @@ def test_batched_reads_share_one_quorum():
     assert len(reads) == 5
     assert {r.value for r in reads} == {Value(b"1")}
     assert len(net.sent) - sent_before == 6  # one prepare + one ack per acceptor
+
+
+def test_batched_command_answered_noop_is_never_applied():
+    """A batch of [B: cas(7 -> 8), A: add(1)] meets 0, so B is answered
+    NOOP. Another proposer sets 7 before the batch's votes land, and the
+    batch retries on 7: B's cas must stay out of it, or B's command takes
+    effect after B was told it did not."""
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW, batch_interval=5))
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, SetCmd(0), 0, 0))
+    net.fire_timers()
+    net.timers.clear()  # the request timer of the finished write
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, CasCmd(7, 8), 1, 0))
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, AddCmd(1), 2, 0))
+    (batch,) = net.timers
+    net.timers.clear()
+    net._absorb(net.proposer.on_timer(batch.token))  # a fast write on 0; votes held
+    assert [(r.client, r.status, r.value) for r in net.replies[1:]] == [
+        (1, Status.NOOP, Value(b"0"))]
+    for a in net.acceptors.values():
+        a.handle(PaxosPrep(b"k", 2000, Round(9, 2000), Ticket(0, 0)))
+        a.handle(Vote(b"k", 2000, Round(9, 2000), Value(b"7"), None, None, Ticket(0, 0)))
+    net.pump()  # the held votes are nacked
+    for _ in range(5):
+        if len(net.replies) > 2:
+            break
+        net.fire_timers()
+    assert [(r.client, r.status, r.value) for r in net.replies[1:]] == [
+        (1, Status.NOOP, Value(b"0")), (2, Status.DONE, Value(b"8"))]
+    assert {a.cell(b"k").val for a in net.acceptors.values()} == {Value(b"8")}
+
+
+class Cluster:
+    """Three RMW acceptors and two batching proposers on reliable FIFO links.
+    Each message waits in its (src, dst) link; `rng` picks the link that
+    delivers next, and now and then a pending timer instead, any timer
+    once no message is in flight. A message is lost with probability
+    `loss`."""
+
+    PROPOSERS = (1000, 1001)
+
+    def __init__(self, rng, loss):
+        config = Config(n_acceptors=3, register_mode=Mode.RMW, batch_interval=5)
+        self.acceptors = {i: Acceptor(i, config) for i in range(3)}
+        self.proposers = {pid: Proposer(pid, config, random.Random(pid))
+                          for pid in self.PROPOSERS}
+        self.rng = rng
+        self.loss = loss
+        self.links = {}
+        self.timers = []
+        self.replies = []
+
+    def absorb(self, pid, effects):
+        for eff in effects:
+            if isinstance(eff, Send):
+                if self.rng.random() >= self.loss:
+                    self.links.setdefault((pid, eff.dst), deque()).append(eff.msg)
+            elif isinstance(eff, Reply):
+                self.replies.append(eff)
+            else:
+                self.timers.append((pid, eff.token))
+
+    def step(self) -> bool:
+        """Deliver one message or fire one timer; False once nothing is pending."""
+        busy = [link for link, queue in self.links.items() if queue]
+        if self.timers and (not busy or self.rng.random() < 0.05):
+            pid, token = self.timers.pop(self.rng.randrange(len(self.timers)))
+            self.absorb(pid, self.proposers[pid].on_timer(token))
+        elif busy:
+            link = busy[self.rng.randrange(len(busy))]
+            msg = self.links[link].popleft()
+            dst = link[1]
+            if dst in self.acceptors:
+                self.absorb(dst, self.acceptors[dst].handle(msg))
+            else:
+                self.absorb(dst, self.proposers[dst].on_message(msg))
+        else:
+            return False
+        return True
+
+    def chosen(self) -> list:
+        """The newest value a quorum of acceptors voted, as a list."""
+        acks = [a.handle(Prepare(b"k", 0, ReqKind.READ, Ticket(0, 0)))[0].msg
+                for a in self.acceptors.values()]
+        found = find_chosen_in_pool(acks, quorum_size(3))
+        return [] if found is None else from_payload(found[0])
+
+
+def guarded_append(token, salt):
+    """Append `token` to the list it meets, unless the list's length says
+    otherwise: then it is a no-op, or it fails."""
+
+    def apply(value):
+        items = from_payload(value) or []
+        rule = (len(items) + salt) % 4
+        if rule == 0:
+            return None
+        if rule == 1:
+            raise CommandError(f"{token} refuses {len(items)} items")
+        return to_payload(items + [token])
+
+    return FnCommand(apply, token)
+
+
+@given(
+    commands=st.lists(st.tuples(st.sampled_from(Cluster.PROPOSERS), st.integers(0, 3)),
+                      min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    loss=st.sampled_from([0.0, 0.1]),
+)
+def test_batched_clients_are_answered_once_and_applied_as_answered(commands, seed, loss):
+    """Any batches on two proposers, in any delivery order: each client is
+    answered at most once, and exactly once when no message is lost. Then
+    a command answered NOOP or ERROR left no trace in the final value, and
+    one answered DONE appears in it exactly once."""
+    rng = random.Random(seed)
+    net = Cluster(rng, loss)
+    pending = list(enumerate(commands))
+    for _ in range(5000):
+        if pending and rng.random() < 0.3:
+            i, (pid, salt) = pending.pop(0)
+            cmd = guarded_append(f"t{i}", salt)
+            net.absorb(pid, net.proposers[pid].submit(b"k", ReqKind.WRITE, cmd, i % 3, i))
+        elif not net.step() and not pending:
+            break
+    answered = [(r.client, r.client_seq) for r in net.replies]
+    assert len(answered) == len(set(answered))
+    if loss:
+        return
+    assert sorted(seq for _, seq in answered) == list(range(len(commands)))
+    final = net.chosen()
+    for r in net.replies:
+        token = f"t{r.client_seq}"
+        assert final.count(token) == (1 if r.status is Status.DONE else 0), (r, final)
 
 
 def test_exactly_once_dedup_via_learned():

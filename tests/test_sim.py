@@ -81,7 +81,7 @@ def test_proposer_draws_the_randint_stream():
     for seed in range(4):
         p = proposer.Proposer(1000, cfg, random.Random(seed))
         ref = random.Random(seed)
-        req = p._new_request(b"k", ReqKind.WRITE, [kv.AddCmd(1)], [(0, 0)])
+        req = p._new_request(b"k", ReqKind.WRITE, [(kv.AddCmd(1), 0, 0)])
         for i in range(400):
             timer = p._arm_timer(req)
             assert timer.delay == proposer.REQUEST_TIMEOUT_TICKS + ref.randint(0, 30)
@@ -233,8 +233,65 @@ def test_recovered_proposer_starts_what_it_batched(mode):
     assert res.quiescent
     assert [e.kind for e in res.history()].count("respond") == 4
     proposer = res.world.proposers[PROPOSER_BASE]
-    assert proposer.batch_writes == {} and not proposer.batch_timer_armed
+    assert proposer.batched == {}
     assert proposer.requests == {}
+
+
+def shared_proposer_scripts(mode):
+    """`cli.default_scripts(mode, 3)` with clients 0 and 1 on one proposer,
+    so that its batches hold two clients."""
+    from rmwreg.cli import default_scripts
+
+    return [dataclasses.replace(s, proposer=PROPOSER_BASE + (s.client == 2))
+            for s in default_scripts(mode, 3)]
+
+
+# (mode, links) of the batched fuzz and golden worlds; every link profile
+# gets one random acceptor crash and maybe a proposer crash per seed.
+BATCHED_ARMS = (
+    (Mode.WRITE_ONCE, dict(fifo=False, drop=0.1, dup=0.05)),
+    (Mode.WRITE_ONCE, dict(fifo=True)),
+    (Mode.SEQUENCE, dict(fifo=True)),
+    (Mode.RMW, dict(fifo=True)),
+)
+
+
+def batched_run(mode, links, seed):
+    scripts = shared_proposer_scripts(mode)
+    plan = random_crash_plan(seed, 3, 1, 200, [s.proposer for s in scripts])
+    sim = SimConfig(seed=seed, max_delay=10, crash_plan=plan, **links)
+    return run_workload(Config(n_acceptors=3, register_mode=mode, batch_interval=5), sim, scripts)
+
+
+@pytest.mark.parametrize("mode, links", BATCHED_ARMS,
+                         ids=["write-once-lossy", "write-once-fifo", "sequence", "rmw"])
+def test_batched_shared_proposer_fuzz(mode, links):
+    """A proposer that batches two clients' requests keeps every mode safe:
+    a write-once writer whose literal was not chosen hears ALREADY_CHOSEN."""
+    from rmwreg.cli import check_result
+
+    bad = []
+    for seed in range(500):
+        verdict = check_result(mode, batched_run(mode, links, seed), 3)
+        if not verdict.ok:
+            bad.append((seed, verdict.violations[:2]))
+    assert not bad, bad[:3]
+
+
+def test_second_reply_to_one_op_is_an_error(monkeypatch):
+    cfg = Config(n_acceptors=3, register_mode=Mode.RMW)
+    world = World(cfg, SimConfig(seed=0), [script(0, ())])
+    reply = messages.Reply(0, Status.DONE, Value(b"1"), 0)
+    monkeypatch.setattr(world.proposers[PROPOSER_BASE], "submit", lambda *args: [reply, reply])
+    with pytest.raises(RuntimeError, match="client 0 op 0 answered twice"):
+        world.submit(0, b"r", ReqKind.WRITE, kv.AddCmd(1), 0)
+
+
+def test_answered_ops_are_forgotten():
+    cfg = Config(n_acceptors=3, register_mode=Mode.RMW)
+    res = run_workload(cfg, SimConfig(seed=1), [script(c, (W, R, W, R)) for c in range(3)])
+    assert [e.kind for e in res.history()].count("respond") == 12
+    assert all(cs.ops_meta == {} for cs in res.world.clients.values())
 
 
 def test_loop_until_generates_unique_tokens():
@@ -306,6 +363,20 @@ def test_golden_storm_digest():
         assert res.quiescent
         digest.update(trace_to_jsonl(res.trace))
     assert digest.hexdigest() == GOLDEN_STORM_SHA256
+
+
+# sha256 over trace_to_jsonl for the batched worlds in test_golden_batched_digest.
+GOLDEN_BATCHED_SHA256 = "65a2c81faa5288feec604dc32054d6383252993d0aaa5ef6c898714b75ee22b2"
+
+
+def test_golden_batched_digest():
+    """Batching's schedule: the batch timer, the order in which a flush
+    starts its requests, and the replies a batch gives."""
+    digest = hashlib.sha256()
+    for mode, links in BATCHED_ARMS:
+        for seed in range(10):
+            digest.update(trace_to_jsonl(batched_run(mode, links, seed).trace))
+    assert digest.hexdigest() == GOLDEN_BATCHED_SHA256
 
 
 def test_trace_io_streams_in_bounded_memory(tmp_path):
