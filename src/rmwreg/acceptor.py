@@ -6,7 +6,8 @@ nil). The machine processes exactly one message at a time; distinct
 acceptors share nothing.
 
 Stale prepares and votes produce explicit Nacks carrying the current
-promise so proposers can retry without waiting for a timeout.
+promise so proposers can retry without waiting for a timeout. Every vote
+also promises the voter the next round, so its next write may skip phase 1.
 
 Like the proposer, it returns effects, here only `messages.Send`, for the
 transport to carry out. A transport routes the types in `ACCEPTOR_MESSAGES`
@@ -120,12 +121,9 @@ class Acceptor:
             MUT_VOTE_BELOW_PROMISE in self.config.mutations
         ), "acceptor must never vote below its promise"
 
-        r_ack = state.r_ack
-        if self.config.fast_writes:
-            # Behave as if a Prepare from the same proposer arrived right
-            # after voting, so it may skip phase 1 next time.
-            r_ack = Round(rnd.n + 1, rnd.id)
-        self.cells[key] = AcceptorState(r_ack, msg.value, rnd, msg.req_cur)
+        # Behave as if a Prepare from the same proposer arrived right after
+        # voting, so it may skip phase 1 next time.
+        self.cells[key] = AcceptorState(Round(rnd.n + 1, rnd.id), msg.value, rnd, msg.req_cur)
         out = [Send(msg.src, Voted(key, self.pid, msg.ticket, rnd, msg.value))]
         if msg.req_prev is not None:
             out.append(Send(msg.req_prev.pid, Learned(key, self.pid, msg.req_prev)))

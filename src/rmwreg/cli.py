@@ -387,7 +387,6 @@ def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="rmw", choices=[m.value for m in Mode])
     p.add_argument("--retries", type=int, default=2, metavar="X",
                    help="read retry limit before write-through escalation")
-    p.add_argument("--fast-writes", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--batch-interval", type=int, default=0, metavar="TICKS",
                    help="hold requests this many timer ticks (50 ms each on serve) and "
                         "start one request per key and kind; 0 disables batching")
@@ -399,7 +398,6 @@ def _protocol_config(args, n_acceptors: int, mutations: FrozenSet[str] = frozens
         n_acceptors=n_acceptors,
         register_mode=_parse_mode(args.mode),
         read_retry_limit=args.retries,
-        fast_writes=args.fast_writes,
         batch_interval=args.batch_interval,
         mutations=mutations,
     )

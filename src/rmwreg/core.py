@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, FrozenSet, Iterable, Optional
+from typing import Callable, FrozenSet, Optional
 
 # Opaque process identifier. Total order is only used for deterministic
 # tie-breaking in tests and trace output; the protocol needs equality plus
@@ -91,14 +91,6 @@ def round_sort_key(r: Round) -> tuple:
     # None sorts below every ProcessId so max() never selects the initial
     # round spuriously.
     return (r.n, -1 if r.id is None else r.id)
-
-
-def next_explicit_round(observed: Iterable[Round], proposer: ProcessId) -> Round:
-    """Round strictly above everything observed so far, owned by `proposer`."""
-    rounds = list(observed)
-    if not rounds:
-        raise ValueError("need at least one observed round")
-    return Round(max(r.n for r in rounds) + 1, proposer)
 
 
 class ReqID(FrozenTuple, namedtuple("ReqID", "pid seq")):
@@ -218,7 +210,6 @@ class Config:
     n_acceptors: int
     register_mode: Mode = Mode.RMW
     read_retry_limit: int = 2
-    fast_writes: bool = True
     batch_interval: int = 0  # in simulator ticks; 0 disables batching
     mutations: FrozenSet[str] = frozenset()
 

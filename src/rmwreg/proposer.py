@@ -31,7 +31,6 @@ from .core import (
     UpdateCommand,
     Value,
     apply_command,
-    next_explicit_round,
     randbelow,
     round_sort_key,
 )
@@ -63,7 +62,8 @@ REQUEST_TIMEOUT_TICKS = 60
 
 @dataclass(slots=True)
 class FastToken:
-    """Phase-1 skip: a round usable without negotiation, plus the chosen
+    """Phase-1 skip: the round the acceptors pre-promised when they voted
+    for this proposer's last chosen proposal on the key, plus that chosen
     base value and its ReqID. Invalidated by any Nack."""
 
     round: Round
@@ -81,7 +81,8 @@ class Request:
     protocol attempt state. A read is one with `kind` READ, escalated or
     not. `waiting` holds the clients not yet answered, in admission order;
     each answer takes its entry out, so no client is answered twice and no
-    answered command is applied again."""
+    answered command is applied again. An instance is in phase 1 until it
+    proposes (`proposal` set); an evicted request has nobody waiting."""
 
     rid: int
     key: bytes
@@ -91,10 +92,9 @@ class Request:
     own_value: Optional[Value] = None  # write-once literal, fixed at admission
 
     instance: int = 0
-    phase: str = "p1"  # p1 | p2 | done
     acks: Dict[ProcessId, Ack] = field(default_factory=dict)
     pool: List[Ack] = field(default_factory=list)  # reads: replies across attempts
-    evidence: List[Round] = field(default_factory=list)
+    top_n: int = 0  # largest round number this instance's Acks and Nacks showed
     proposal: Optional[Vote] = None  # the phase-2 message of this instance
     writethrough: bool = False  # the proposal consolidates someone's value
     voters: set = field(default_factory=set)
@@ -104,11 +104,6 @@ class Request:
     proposed: bool = False  # some instance of this request reached phase 2
     learned: bool = False  # an RMW write's LEARNED notice arrived
     backoff: int = 0
-    pending_round: Optional[Round] = None  # explicit round waiting on backoff
-
-    @property
-    def done(self) -> bool:
-        return self.phase == "done"
 
 
 @dataclass
@@ -186,7 +181,7 @@ class Proposer:
                     self._evict(req)
                     return effects
             token = self.fast.get(req.key)
-            if token is not None and self.config.fast_writes:
+            if token is not None:
                 # A write-once token proves a value is chosen; a second
                 # write can be answered without touching the network.
                 if write_once:
@@ -196,8 +191,11 @@ class Proposer:
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
         kind = ReqKind.WRITE if (req.kind is ReqKind.WRITE or req.escalated) else ReqKind.READ
-        prepare = Prepare(req.key, self.pid, kind, Ticket(req.rid, req.instance))
-        effects: List[Effect] = [Send(a, prepare) for a in self._acceptors()]
+        return self._broadcast(req, Prepare(req.key, self.pid, kind, Ticket(req.rid, req.instance)))
+
+    def _broadcast(self, req: Request, msg) -> List[Effect]:
+        """Send a phase-1 message to every acceptor and arm `req`'s timer."""
+        effects: List[Effect] = [Send(a, msg) for a in self._acceptors()]
         effects.append(self._arm_timer(req))
         return effects
 
@@ -208,13 +206,11 @@ class Proposer:
 
     def _fast_write(self, req: Request, token: FastToken) -> List[Effect]:
         del self.fast[req.key]  # consumed; refreshed on success
-        if req.learned:
-            return self._finish(req, Status.DONE, token.base)
         self.stats.fast_writes += 1
         # This instance starts without a phase-1 broadcast, so it has no
         # timeout armed yet.
         effects = self._propose_successor(req, token.round, token.base, token.base_req)
-        if not req.done:
+        if req.waiting:  # not answered NOOP or ERROR and evicted
             effects.append(self._arm_timer(req))
         return effects
 
@@ -231,13 +227,12 @@ class Proposer:
         is_read = req.kind is ReqKind.READ
         if is_read:
             req.pool.append(ack)
-        if ack.ticket.instance != req.instance or req.phase != "p1":
+        if ack.ticket.instance != req.instance or req.proposal is not None:
             if is_read:
                 return self._evaluate_read_pool(req)
             return []
         req.acks[ack.src] = ack
-        req.evidence.append(ack.r_ack)
-        req.evidence.append(ack.r_voted)
+        req.top_n = max(req.top_n, ack.r_ack.n, ack.r_voted.n)
         if is_read and not req.escalated:
             return self._evaluate_read(req)
         if len(req.acks) >= self.quorum:
@@ -250,7 +245,7 @@ class Proposer:
             return []
         # Foreign round evidence: any outstanding fast-write grant is stale.
         self.fast.pop(nack.key, None)
-        req.evidence.append(nack.r_ack)
+        req.top_n = max(req.top_n, nack.r_ack.n)
         if req.kind is ReqKind.READ and not req.escalated:
             return []  # reads are never nacked; stale ticket noise
         return self._retry_explicit(req)
@@ -259,7 +254,6 @@ class Proposer:
         req = self.requests.get(voted.ticket.request)
         if (
             req is None
-            or req.phase != "p2"
             or voted.ticket.instance != req.instance
             or req.proposal is None
             or voted.round != req.proposal.round
@@ -310,14 +304,11 @@ class Proposer:
             return []
         if token[0] == "batch":
             return self._flush_batches()
-        kind, rid, _ = token
-        req = self.requests[rid]
-        if kind == "retry":
+        req = self.requests[token[1]]
+        if token[0] == "retry":
             # Backoff expired; run the deferred explicit-round phase 1.
-            prep = PaxosPrep(req.key, self.pid, req.pending_round, Ticket(req.rid, req.instance))
-            effects: List[Effect] = [Send(a, prep) for a in self._acceptors()]
-            effects.append(self._arm_timer(req))
-            return effects
+            prep = PaxosPrep(req.key, self.pid, token[3], Ticket(req.rid, req.instance))
+            return self._broadcast(req, prep)
         if req.kind is ReqKind.READ and not req.escalated and len(req.acks) >= self.quorum:
             # A quorum answered without agreeing and the rest stayed silent:
             # a read retry, counted against the budget, not a blind restart.
@@ -344,7 +335,7 @@ class Proposer:
         So the read waits for every acceptor's reply to the attempt, bounded
         by the request timer (`on_timer`), before it retries."""
         effects = self._evaluate_read_pool(req)
-        if effects or req.done:
+        if effects or not req.waiting:
             return effects
         if len(req.acks) < self.config.n_acceptors:
             return []
@@ -363,10 +354,9 @@ class Proposer:
             req.prev_rounds = rounds
             req.retry_count += 1
             self.stats.read_retries += 1
-            self._reset_instance(req)
-            return self._broadcast_prepare(req)
-        req.escalated = True
-        self.stats.read_escalations += 1
+        else:
+            req.escalated = True
+            self.stats.read_escalations += 1
         self._reset_instance(req)
         return self._broadcast_prepare(req)
 
@@ -464,7 +454,6 @@ class Proposer:
         req_prev: Optional[ReqID],
         writethrough: bool = False,
     ) -> List[Effect]:
-        req.phase = "p2"
         req.proposed = True
         req.voters = set()
         req.writethrough = writethrough
@@ -475,12 +464,12 @@ class Proposer:
     def _proposal_chosen(self, req: Request) -> List[Effect]:
         prop = req.proposal
         chosen = prop.value
-        if self.config.fast_writes:
-            if MUT_REUSE_ROUND in self.config.mutations:
-                next_round = prop.round
-            else:
-                next_round = Round(prop.round.n + 1, prop.round.id)
-            self.fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
+        # The acceptors that voted pre-promised the next round to this
+        # proposer (`Acceptor.handle_vote`).
+        next_round = prop.round
+        if MUT_REUSE_ROUND not in self.config.mutations:
+            next_round = Round(next_round.n + 1, next_round.id)
+        token = self.fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
         settled = self._settled(req, chosen, prop.req_cur)
         if settled is not None:
             return settled
@@ -488,24 +477,19 @@ class Proposer:
             return self._finish(req, Status.DONE, chosen)
         # A write-through only consolidates someone's unfinished consensus;
         # the client's own command still has to be processed.
-        token = self.fast.get(req.key)
-        if token is not None and self.config.fast_writes:
-            return self._fast_write(req, token)
-        self._reset_instance(req)
-        return self._broadcast_prepare(req)
+        return self._fast_write(req, token)
 
     def _retry_explicit(self, req: Request) -> List[Effect]:
-        evidence = list(req.evidence)
-        if req.proposal is not None:
-            evidence.append(req.proposal.round)
-        next_round = next_explicit_round(evidence, self.pid)
+        # The next round tops every round this instance saw or proposed in;
+        # it waits out the backoff in the retry timer's token.
+        top_n = req.top_n if req.proposal is None else max(req.top_n, req.proposal.round.n)
+        next_round = Round(top_n + 1, self.pid)
         self._reset_instance(req)
-        req.pending_round = next_round
         # Retrying immediately lets duelling proposers invalidate each other
         # forever; a randomized, growing pause lets one of them finish.
         req.backoff = min(max(2 * req.backoff, 4), REQUEST_TIMEOUT_TICKS)
         delay = 1 + randbelow(self.rng.getrandbits, req.backoff)  # randint(1, req.backoff)
-        return [SetTimer(delay, ("retry", req.rid, req.instance))]
+        return [SetTimer(delay, ("retry", req.rid, req.instance, next_round))]
 
     # -- completion ----------------------------------------------------------
 
@@ -514,8 +498,7 @@ class Proposer:
         req.acks = {}
         req.voters = set()
         req.proposal = None
-        req.phase = "p1"
-        req.evidence = []
+        req.top_n = 0
 
     def _finish_write_once(self, req: Request, chosen: Value) -> List[Effect]:
         """DONE to each writer whose own literal was chosen, ALREADY_CHOSEN
@@ -537,7 +520,6 @@ class Proposer:
     def _evict(self, req: Request) -> None:
         # Late replies, timers and LEARNED notices for an evicted request
         # find nothing and are ignored, and nobody waits on it any more.
-        req.phase = "done"
         req.waiting = []
         self.requests.pop(req.rid, None)
         if req.reqid is not None:

@@ -34,7 +34,7 @@ from .checker import HistoryEvent
 from .core import PROPOSER_BASE, Config, Mode, ProcessId, UpdateCommand, Value, randbelow
 from .messages import Reply, ReqKind, Send, SetTimer
 from .proposer import Proposer
-from .trace import (  # the serializers are re-exported for callers of this module
+from .trace import (  # the JSONL serializers are re-exported for callers of this module
     ClientInvokeEv,
     ClientResponseEv,
     CrashEv,
@@ -44,8 +44,6 @@ from .trace import (  # the serializers are re-exported for callers of this modu
     RecoverEv,
     SendEv,
     StateSnapshotEv,
-    event_from_record,
-    event_to_record,
     trace_from_jsonl,
     trace_to_jsonl,
 )
@@ -298,8 +296,6 @@ class World:
         )
         self.histories.setdefault(script.key, []).append(HistoryEvent(
             "invoke", client, op_index, spec.kind, script.key, token, spec.arg, None, self.tick))
-        if script.proposer in self.down:
-            return  # request never admitted; the op stays incomplete
         self.submit(client, script.key, spec.kind, cmd, op_index, token)
 
     def submit(self, client: int, key: bytes, kind: ReqKind, cmd: Optional[UpdateCommand],
@@ -308,10 +304,13 @@ class World:
 
         Records the op so that its reply is traced and added to the key's
         history. Emits no invoke event: a scripted op traces its own first.
+        A crashed proposer admits nothing: the op stays incomplete.
         """
         cs = self.clients[client]
-        cs.ops_meta[op_index] = (key, kind, token)
         pid = cs.script.proposer
+        if pid in self.down:
+            return
+        cs.ops_meta[op_index] = (key, kind, token)
         effects = self.proposers[pid].submit(key, kind, cmd, client, op_index)
         self._apply_effects(pid, effects, depth=0)
 

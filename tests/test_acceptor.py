@@ -37,8 +37,8 @@ def msgs(out):
     return [sent.msg for sent in out]
 
 
-def make(fast_writes=True, mutations=frozenset()):
-    return Acceptor(0, Config(n_acceptors=3, fast_writes=fast_writes, mutations=mutations))
+def make(mutations=frozenset()):
+    return Acceptor(0, Config(n_acceptors=3, mutations=mutations))
 
 
 def test_initial_state():
@@ -100,13 +100,6 @@ def test_vote_at_promise_with_fast_writes():
     assert out == [Send(9, Voted(KEY, 0, T, Round(6, 9), v))]
     state = a.cell(KEY)
     assert state == AcceptorState(Round(7, 9), v, Round(6, 9), None)
-
-
-def test_vote_without_fast_writes_keeps_promise():
-    a = make(fast_writes=False)
-    a.cells[KEY] = AcceptorState(r_ack=Round(6, 9))
-    a.handle(Vote(KEY, 9, Round(6, 9), Value(b"v"), None, None, T))
-    assert a.cell(KEY).r_ack == Round(6, 9)
 
 
 def test_vote_below_or_incomparable_promise_nacked():
@@ -222,28 +215,28 @@ def reference_prepare_explicit(pid, state, msg):
     return [Send(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
 
 
-def reference_vote(pid, state, msg, fast_writes, vote_below_promise):
+def reference_vote(pid, state, msg, vote_below_promise):
     if round_compare(msg.round, state.r_ack) is not Ordering.EQUAL and not vote_below_promise:
         return [Send(msg.src, Nack(msg.key, pid, msg.ticket, state.r_ack))], state
-    r_ack = Round(msg.round.n + 1, msg.round.id) if fast_writes else state.r_ack
+    r_ack = Round(msg.round.n + 1, msg.round.id)  # the voter's pre-promised next round
     out = [Send(msg.src, Voted(msg.key, pid, msg.ticket, msg.round, msg.value))]
     if msg.req_prev is not None:
         out.append(Send(msg.req_prev.pid, Learned(msg.key, pid, msg.req_prev)))
     return out, AcceptorState(r_ack, msg.value, msg.round, msg.req_cur)
 
 
-@given(cells, rounds, req_ids, req_ids, st.booleans(), st.booleans(), st.booleans())
+@given(cells, rounds, req_ids, req_ids, st.booleans(), st.booleans())
 def test_promise_and_vote_checks_match_round_compare(cell, rnd, req_cur, req_prev,
-                                                     fast_writes, vote_below_promise, vote):
+                                                     vote_below_promise, vote):
     mutations = frozenset({MUT_VOTE_BELOW_PROMISE}) if vote_below_promise else frozenset()
-    a = make(fast_writes=fast_writes, mutations=mutations)
+    a = make(mutations=mutations)
     if cell is not None:
         a.cells[KEY] = cell
     before = a.cell(KEY)
     src = 1001 if rnd.id is None else rnd.id
     if vote:
         msg = Vote(KEY, src, rnd, Value(b"v"), req_cur, req_prev, T)
-        expected = reference_vote(a.pid, before, msg, fast_writes, vote_below_promise)
+        expected = reference_vote(a.pid, before, msg, vote_below_promise)
     else:
         msg = PaxosPrep(KEY, src, rnd, T)
         expected = reference_prepare_explicit(a.pid, before, msg)

@@ -76,6 +76,41 @@ def test_fuzz_with_script_file(tmp_path, capsys):
     assert "0 with violations" in capsys.readouterr().out
 
 
+def test_fuzz_script_append_ops_are_checked(tmp_path, capsys):
+    """Scripted appends write unique tokens, so the sequence checker runs:
+    clean on RMW, and it catches a lost update under a mutation."""
+    script = tmp_path / "w.json"
+    script.write_text(json.dumps({"clients": [
+        {"client": c, "ops": [{"op": "append"}, {"op": "read"}]} for c in range(2)]}))
+    assert main(["fuzz", "--mode", "rmw", "--seeds", "0:5", "--script", str(script)]) == 0
+    assert "5 seeds, 0 with violations" in capsys.readouterr().out
+    report = tmp_path / "report.json"
+    rc = main(["fuzz", "--mode", "sequence", "--seeds", "0:20", "--no-fifo", "--drop", "0.1",
+               "--mutate", "vote_below_promise", "--script", str(script),
+               "--report", str(report)])
+    assert rc == 1
+    verdicts = json.loads(report.read_text())["verdicts"].values()
+    assert any(v.startswith("CS-Update-Visibility") for found in verdicts if found != "ok"
+               for v in found)
+
+
+def test_replay_renders_duplicates_crashes_and_recoveries(tmp_path, capsys):
+    from rmwreg.cli import default_scripts
+    from rmwreg.trace import write_trace
+    sim = SimConfig(seed=3, fifo=False, drop=0.1, dup=0.3,
+                    crash_plan=((10, 0, "crash"), (60, 0, "recover")))
+    res = run_workload(Config(n_acceptors=3, register_mode=Mode.SEQUENCE), sim,
+                       default_scripts(Mode.SEQUENCE, n_clients=2))
+    path = tmp_path / "t.jsonl"
+    with path.open("wb") as fp:
+        write_trace(res.trace, fp)
+    assert main(["replay", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.endswith("] crash 0") for line in lines)
+    assert any(line.endswith("] recover 0") for line in lines)
+    assert any("] dup     #" in line for line in lines)
+
+
 def test_replay_renders_full_run(tmp_path, capsys):
     from rmwreg.cli import default_scripts
     cfg = Config(n_acceptors=3, register_mode=Mode.RMW)
@@ -186,12 +221,15 @@ MISSING = "missing"  # as `script`: --script names a file that does not exist
     pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}]},
                                   {"client": 0, "proposer": 1, "ops": [{"op": "read"}]}]},
                  "client 0 has two scripts", id="script-client-twice"),
+    pytest.param([], "not json{", "not JSON: Expecting value", id="script-not-json"),
+    pytest.param([], {"clients": 5}, "malformed: 'int' object is not iterable",
+                 id="script-clients-not-a-list"),
 ])
 def test_bad_fuzz_input_exits_2_before_any_seed(tmp_path, capsys, argv, script, message):
     if script is not None:
         path = tmp_path / "w.json"
-        if script != MISSING:
-            path.write_text(json.dumps(script))
+        if script != MISSING:  # a str is written as it is, anything else as JSON
+            path.write_text(script if isinstance(script, str) else json.dumps(script))
         argv = [*argv, "--script", str(path)]
     try:
         rc = main(["fuzz", "--seeds", "0:2", *argv])

@@ -19,7 +19,6 @@ from rmwreg.core import (
     Round,
     Value,
     apply_command,
-    next_explicit_round,
     round_compare,
     round_sort_key,
 )
@@ -58,19 +57,6 @@ def test_round_compare_antisymmetry(r1, r2):
 def test_round_compare_transitivity(r1, r2, r3):
     if round_compare(r1, r2) is Ordering.LESS and round_compare(r2, r3) is Ordering.LESS:
         assert round_compare(r1, r3) is Ordering.LESS
-
-
-@given(st.lists(rounds, min_size=1, max_size=8), st.integers(min_value=0, max_value=9))
-def test_next_explicit_round_dominates(observed, proposer):
-    nxt = next_explicit_round(observed, proposer)
-    assert nxt.id == proposer
-    for r in observed:
-        assert round_compare(r, nxt) is Ordering.LESS
-
-
-def test_next_explicit_round_needs_evidence():
-    with pytest.raises(ValueError):
-        next_explicit_round([], 1)
 
 
 @given(rounds)

@@ -4,15 +4,16 @@ messages exist."""
 import random
 from collections import deque
 
-import pytest
 from hypothesis import given, strategies as st
 
 from rmwreg.acceptor import Acceptor, AcceptorState
 from rmwreg.core import EMPTY, CommandError, Config, FnCommand, Mode, Round, Value
 from rmwreg.kv import AddCmd, CasCmd, SetCmd, append_token, from_payload, to_payload
 from rmwreg.core import ReqID
-from rmwreg.messages import Ack, Learned, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote, Voted
-from rmwreg.proposer import Proposer, Reply, Send, SetTimer
+from rmwreg.messages import (
+    Ack, Learned, Nack, PaxosPrep, Prepare, ReqKind, Status, Ticket, Vote, Voted,
+)
+from rmwreg.proposer import FastToken, Proposer, Reply, Send, SetTimer
 from rmwreg.quorum import find_chosen_in_pool, find_empty_in_pool, quorum_size
 
 
@@ -93,14 +94,6 @@ def test_fast_write_skips_phase_one():
     assert net.proposer.stats.fast_writes == 1
 
 
-def test_no_fast_write_when_disabled():
-    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW, fast_writes=False))
-    net.submit(b"k", ReqKind.WRITE, appender("a"), seq=0)
-    net.submit(b"k", ReqKind.WRITE, appender("b"), seq=1)
-    assert net.proposer.stats.fast_writes == 0
-    assert net.replies[-1].value == Value(b'["a","b"]')
-
-
 def test_noop_command_answered_without_protocol():
     net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
     net.submit(b"k", ReqKind.WRITE, SetCmd(5), seq=0)
@@ -149,6 +142,41 @@ def test_nack_triggers_explicit_round_retry():
     assert net.replies and net.replies[-1].status is Status.DONE
     explicit = [s.msg for s in net.sent if isinstance(s.msg, PaxosPrep)]
     assert explicit and all(p.round.n > 9 for p in explicit)
+
+
+# Few round numbers and ids, so ties and foreign rounds are common.
+retry_rounds = st.builds(Round, st.integers(min_value=0, max_value=6),
+                         st.sampled_from([None, 0, 1, 1000, 1001]))
+
+
+@given(st.lists(st.tuples(retry_rounds, retry_rounds), max_size=2), retry_rounds,
+       st.one_of(st.none(), retry_rounds))
+def test_explicit_retry_round_tops_every_round_seen(acks, nack_round, own_round):
+    """A write that is nacked retries, after its backoff, in round
+    (n + 1, pid), where n is the highest round number the instance saw in an
+    Ack (`r_ack` and `r_voted`) or Nack, or proposed in itself. An instance
+    that proposed at once (`own_round`, a fast write) already left phase 1,
+    so the Acks it gets are stale and do not count."""
+    pid = 1000
+    p = Proposer(pid, Config(n_acceptors=5, register_mode=Mode.RMW), random.Random(0))
+    if own_round is not None:
+        p.fast[b"k"] = FastToken(own_round, EMPTY, None)
+    [msg, *_] = [e.msg for e in p.submit(b"k", ReqKind.WRITE, SetCmd(1), 0, 0)
+                 if isinstance(e, Send)]
+    assert type(msg) is (Prepare if own_round is None else Vote)
+    ticket = msg.ticket
+    seen = [nack_round.n]
+    for src, (r_ack, r_voted) in enumerate(acks):  # fewer than a quorum of 3
+        assert p.on_message(Ack(b"k", src, ticket, r_ack, EMPTY, r_voted, None, True)) == []
+        if own_round is None:
+            seen += [r_ack.n, r_voted.n]
+    if own_round is not None:
+        seen.append(own_round.n)
+    [timer] = p.on_message(Nack(b"k", 4, ticket, nack_round))
+    expected = Round(max(seen) + 1, pid)
+    assert timer.token == ("retry", ticket.request, ticket.instance + 1, expected)
+    prep = PaxosPrep(b"k", pid, expected, Ticket(ticket.request, ticket.instance + 1))
+    assert [e.msg for e in p.on_timer(timer.token) if isinstance(e, Send)] == [prep] * 5
 
 
 def test_read_escalates_after_retry_budget():
@@ -558,11 +586,10 @@ def test_timer_live_only_for_the_current_instance_of_an_open_request():
     assert net.proposer.timer_live(("batch",))
 
 
-@pytest.mark.parametrize("fast_writes", [True, False])
-def test_command_that_fails_to_apply_gets_one_error_reply(fast_writes):
+def test_command_that_fails_to_apply_gets_one_error_reply():
     """A failed command is answered like a no-op, with ERROR and the
     command's message, and leaves the register as it was."""
-    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW, fast_writes=fast_writes))
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
     net.submit(b"k", ReqKind.WRITE, SetCmd("abc"), seq=0)
     net.submit(b"k", ReqKind.WRITE, AddCmd(1), seq=1)
     assert [(r.status, r.client_seq) for r in net.replies] == [(Status.DONE, 0), (Status.ERROR, 1)]

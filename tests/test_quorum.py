@@ -122,7 +122,8 @@ def test_max_by_tie_value_irrelevant_in_reachable_states():
 
 def test_classify_retry_dominates_observations():
     """A quorum without a common promise retries; the explicit round it
-    retries with is `next_explicit_round`'s (tests/test_core.py)."""
+    retries with tops every round seen (tests/test_proposer.py,
+    `test_explicit_retry_round_tops_every_round_seen`)."""
     assert classify([ack(0, r_ack=Round(3, 1)), ack(1, r_ack=Round(5, 2)),
                      ack(2, r_ack=Round(4, 3), r_voted=Round(4, 3))]) is None
 

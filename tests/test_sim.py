@@ -12,9 +12,11 @@ from rmwreg.sim import (
     PROPOSER_BASE,
     ClientResponseEv,
     ClientScript,
+    CrashEv,
     DeliverEv,
     DropEv,
     OpSpec,
+    RecoverEv,
     SendEv,
     SimConfig,
     World,
@@ -87,7 +89,7 @@ def test_proposer_draws_the_randint_stream():
             assert timer.delay == proposer.REQUEST_TIMEOUT_TICKS + ref.randint(0, 30)
             req.backoff = 0
             for b in (4, 8, 16, 32, 60):
-                req.evidence = [Round(1, 0)]
+                req.top_n = 1
                 [timer] = p._retry_explicit(req)
                 assert req.backoff == b
                 assert timer.delay == ref.randint(1, b)
@@ -221,6 +223,37 @@ def test_crashed_proposer_leaves_request_pending():
     assert not [e for e in res.history() if e.kind == "respond"]
 
 
+def test_crashed_proposer_admits_no_request():
+    """A request handed to a crashed proposer through `World.submit`, as
+    `SimDriver` does, is never admitted: no message leaves the proposer and
+    no acceptor changes, although a fast write would send its Votes at once."""
+    driver = kv.SimDriver(Config(n_acceptors=3, register_mode=Mode.RMW),
+                          SimConfig(seed=1, crash_plan=((500, PROPOSER_BASE, "crash"),)))
+    facade = driver.facade()
+    facade.put(b"c", 0)
+    world = driver.world
+    while world.step():
+        pass
+    [crash] = [i for i, ev in enumerate(world.trace) if isinstance(ev, CrashEv)]
+    hashes = [a.state_hash() for a in world.acceptors.values()]
+    with pytest.raises(kv.Unavailable):
+        facade.update(b"c", kv.AddCmd(5))
+    assert not [ev for ev in world.trace[crash:] if isinstance(ev, SendEv)]
+    assert [a.state_hash() for a in world.acceptors.values()] == hashes
+
+
+def assert_crashed_processes_are_silent(trace):
+    """No process sends between its crash and its recovery."""
+    down = set()
+    for ev in trace:
+        if isinstance(ev, CrashEv):
+            down.add(ev.pid)
+        elif isinstance(ev, RecoverEv):
+            down.discard(ev.pid)
+        elif isinstance(ev, SendEv):
+            assert ev.src not in down, ev
+
+
 @pytest.mark.parametrize("mode", [Mode.SEQUENCE, Mode.RMW])
 def test_recovered_proposer_starts_what_it_batched(mode):
     """The batch timer fires while the proposer is down and is dropped;
@@ -338,6 +371,7 @@ def test_golden_trace_digest():
             sim = SimConfig(seed=seed, max_delay=10, crash_plan=plan, **links)
             res = run_workload(Config(n_acceptors=n, register_mode=mode), sim, scripts)
             digest.update(trace_to_jsonl(res.trace))
+            assert_crashed_processes_are_silent(res.trace)
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
 
 
