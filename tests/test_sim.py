@@ -354,7 +354,9 @@ def test_random_crash_plan_is_deterministic_and_bounded():
     assert len(crashed_acceptors) <= 2
 
 
-def test_golden_trace_digest():
+def golden_runs():
+    """The worlds of `test_golden_trace_digest`: `cli.default_scripts` over
+    every mode, with seed-derived crash plans."""
     from rmwreg.cli import default_scripts
 
     arms = (
@@ -363,15 +365,19 @@ def test_golden_trace_digest():
         (Mode.SEQUENCE, 3, dict(fifo=True)),
         (Mode.RMW, 3, dict(fifo=True)),
     )
-    digest = hashlib.sha256()
     for mode, n, links in arms:
         scripts = default_scripts(mode, 3)
         for seed in range(10):
             plan = random_crash_plan(seed, n, (n - 1) // 2, 200, [s.proposer for s in scripts])
             sim = SimConfig(seed=seed, max_delay=10, crash_plan=plan, **links)
-            res = run_workload(Config(n_acceptors=n, register_mode=mode), sim, scripts)
-            digest.update(trace_to_jsonl(res.trace))
-            assert_crashed_processes_are_silent(res.trace)
+            yield run_workload(Config(n_acceptors=n, register_mode=mode), sim, scripts)
+
+
+def test_golden_trace_digest():
+    digest = hashlib.sha256()
+    for res in golden_runs():
+        digest.update(trace_to_jsonl(res.trace))
+        assert_crashed_processes_are_silent(res.trace)
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
 
 
@@ -379,10 +385,11 @@ def test_golden_trace_digest():
 GOLDEN_STORM_SHA256 = "4aba86a6c1c2be3b3afb80205d8c1b1a7cff13cf9958404f76eb444843c0c957"
 
 
-def test_golden_storm_digest():
-    """One appending writer and 64 readers on one key, so hundreds of events
-    fall due on the same tick and each pick chooses among many. The lossy arm
-    lets duplicate deliveries land in those crowded ticks."""
+def storm_runs():
+    """The worlds of `test_golden_storm_digest`: one appending writer and 64
+    readers on one key, so hundreds of events fall due on the same tick and
+    each pick chooses among many. The lossy arm lets duplicate deliveries
+    land in those crowded ticks."""
     config = Config(n_acceptors=3, register_mode=Mode.SEQUENCE, read_retry_limit=2)
     scripts = [script(0, (W,), loop_until=60)]
     scripts += [script(c, (R,), loop_until=60) for c in range(1, 65)]
@@ -391,12 +398,33 @@ def test_golden_storm_digest():
         dict(seed=1, fifo=True),
         dict(seed=0, fifo=False, drop=0.05, dup=0.05),
     )
-    digest = hashlib.sha256()
     for links in arms:
-        res = run_workload(config, SimConfig(max_delay=5, **links), scripts)
+        yield run_workload(config, SimConfig(max_delay=5, **links), scripts)
+
+
+def test_golden_storm_digest():
+    digest = hashlib.sha256()
+    for res in storm_runs():
         assert res.quiescent
         digest.update(trace_to_jsonl(res.trace))
     assert digest.hexdigest() == GOLDEN_STORM_SHA256
+
+
+# sha256 over the repr of every HistoryEvent of the golden and storm worlds.
+GOLDEN_HISTORY_SHA256 = "ed4841e3cba10b14c27abd497e770b1930818fdd406f0eaad0720a21fcabeb84"
+
+
+def test_golden_history_digest():
+    """The client histories the checkers read, invokes and responds, of the
+    worlds whose traces the two digests above pin: every entry, per key in
+    the order the world recorded it."""
+    digest = hashlib.sha256()
+    for res in list(golden_runs()) + list(storm_runs()):
+        for key, history in res.histories.items():
+            digest.update(repr(key).encode())
+            for ev in history:
+                digest.update(repr(ev).encode())
+    assert digest.hexdigest() == GOLDEN_HISTORY_SHA256
 
 
 # sha256 over trace_to_jsonl for the batched worlds in test_golden_batched_digest.
