@@ -78,10 +78,9 @@ def default_scripts(mode: Mode, n_clients: int = 3) -> List[ClientScript]:
     scripts = []
     for c in range(n_clients):
         if mode is Mode.WRITE_ONCE:
-            arg = kv.to_payload(f"v{c}")
             ops = (
                 OpSpec(ReqKind.READ),
-                OpSpec(ReqKind.WRITE, cmd=kv.SetCmd(f"v{c}"), arg=arg),
+                OpSpec(ReqKind.WRITE, cmd=kv.SetCmd(f"v{c}")),
                 OpSpec(ReqKind.READ),
             )
         else:
@@ -102,9 +101,7 @@ def _op_from_json(rec: dict) -> OpSpec:
     if op == "append":
         return OpSpec(ReqKind.WRITE, make_cmd=kv.append_token)
     if op == "set":
-        return OpSpec(
-            ReqKind.WRITE, cmd=kv.SetCmd(rec["value"]), arg=kv.to_payload(rec["value"])
-        )
+        return OpSpec(ReqKind.WRITE, cmd=kv.SetCmd(rec["value"]))
     if op == "add":
         return OpSpec(ReqKind.WRITE, cmd=kv.AddCmd(rec["delta"]))
     raise ValueError(f"unknown scripted op {op!r}")

@@ -230,12 +230,12 @@ class KvFacade:
 
 class SimDriver:
     """Blocking client against a simulated deployment: submit one request,
-    step the world until its reply arrives."""
+    step the world until its record closes. An op not admitted, or still open
+    when the world idles or its step budget runs out, answers UNAVAILABLE."""
 
     def __init__(self, config, sim_config, proposer_pid: Optional[int] = None):
-        from .sim import PROPOSER_BASE, ClientResponseEv, ClientScript, World
+        from .sim import PROPOSER_BASE, ClientScript, World
 
-        self._ResponseEv = ClientResponseEv
         pid = PROPOSER_BASE if proposer_pid is None else proposer_pid
         self.world = World(config, sim_config, [ClientScript(client=0, proposer=pid, ops=())])
         self.seq = 0
@@ -244,18 +244,14 @@ class SimDriver:
         world = self.world
         seq = self.seq
         self.seq += 1
-        scan = len(world.trace)  # replies can be emitted synchronously
         world.submit(0, key, kind, cmd, seq)
-        while True:
-            while scan < len(world.trace):
-                ev = world.trace[scan]
-                scan += 1
-                if isinstance(ev, self._ResponseEv) and ev.client == 0 and ev.op_index == seq:
-                    return ev.status, ev.value
-            if not world.step():
-                return Status.UNAVAILABLE, EMPTY
-            if world.steps >= world.sim.max_steps:
-                return Status.UNAVAILABLE, EMPTY
+        open_ops = world.clients[0].ops_meta
+        while seq in open_ops and world.steps < world.sim.max_steps and world.step():
+            pass
+        last = world.histories[key][-1]  # the driver is the world's only client
+        if last.kind != "respond":
+            return Status.UNAVAILABLE, EMPTY
+        return last.status, last.value
 
     def facade(self, mode: Optional[Mode] = None) -> KvFacade:
         return KvFacade(self.submit, mode or self.world.config.register_mode)

@@ -246,8 +246,6 @@ class Proposer:
         # Foreign round evidence: any outstanding fast-write grant is stale.
         self.fast.pop(nack.key, None)
         req.top_n = max(req.top_n, nack.r_ack.n)
-        if req.kind is ReqKind.READ and not req.escalated:
-            return []  # reads are never nacked; stale ticket noise
         return self._retry_explicit(req)
 
     def on_voted(self, voted: Voted) -> List[Effect]:

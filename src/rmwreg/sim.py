@@ -14,9 +14,9 @@ Simulated time is a tick counter; message delay is sampled uniformly from
 [1, max_delay] ticks.
 
 Picks and delays are drawn by `core.randbelow`, `randrange` rebuilt on
-`getrandbits` (`World._below`, and inline on the per-message paths): it
-takes the same bits, so a seed gives the trace that `randrange`/`randint`
-calls would. A pick among one due event draws nothing.
+`getrandbits` (inline on the per-message paths): it takes the same bits,
+so a seed gives the trace that `randrange`/`randint` calls would. A pick
+among one due event draws nothing.
 
 A `SendEv` is both the trace record of a send and the scheduler entry of
 its delivery: the bucket holds the record itself (twice for a duplicate).
@@ -31,7 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .acceptor import INITIAL_STATE, Acceptor
 from .checker import HistoryEvent
-from .core import PROPOSER_BASE, Config, Mode, ProcessId, UpdateCommand, Value, randbelow
+from .core import (EMPTY, PROPOSER_BASE, CommandError, Config, Mode, ProcessId, UpdateCommand,
+                   apply_command, randbelow)
 from .messages import Reply, ReqKind, Send, SetTimer
 from .proposer import Proposer
 from .trace import (  # the JSONL serializers are re-exported for callers of this module
@@ -68,14 +69,13 @@ class SimConfig:
 class OpSpec:
     """One scripted client operation.
 
-    For writes either `cmd` is a fixed command (its literal recorded via
-    `arg` for the write-once checker) or `make_cmd` builds one from the
-    op's unique token (append-log style payloads for the CS checkers).
+    For writes either `cmd` is a fixed command or `make_cmd` builds one
+    from the op's unique token (append-log style payloads for the CS
+    checkers).
     """
 
     kind: ReqKind
     cmd: Optional[UpdateCommand] = None
-    arg: Optional[Value] = None
     make_cmd: Optional[Callable[[str], UpdateCommand]] = None
 
 
@@ -110,15 +110,15 @@ class _ClientState:
     script: ClientScript
     issued: int = 0
     finished: bool = False
-    # (key, kind, token) of each submitted op until its reply arrives
-    ops_meta: Dict[int, Tuple[bytes, ReqKind, Optional[str]]] = field(default_factory=dict)
+    # the invoke record of each admitted op until its reply arrives
+    ops_meta: Dict[int, HistoryEvent] = field(default_factory=dict)
 
 
 class World:
     def __init__(self, config: Config, sim: SimConfig, scripts: Sequence[ClientScript]):
         if config.register_mode is Mode.RMW and not sim.fifo:
             raise ValueError("RMW mode requires reliable FIFO links")
-        if sim.max_delay < 1:
+        if sim.max_delay < 1:  # `randbelow` draws a delay, and below 1 loops forever
             raise ValueError(f"max_delay must be at least 1 tick, got {sim.max_delay}")
         for name, p in (("drop", sim.drop), ("dup", sim.dup)):
             if not 0 <= p <= 1:
@@ -151,7 +151,8 @@ class World:
         self.buckets: Dict[int, list] = {}  # tick -> entries in push order
         self.fifo_last: Dict[Tuple[ProcessId, ProcessId], int] = {}
         for script in scripts:
-            self._push(script.start_tick, ("invoke", script.client))
+            if script.ops:
+                self._push(script.start_tick, ("invoke", script.client))
         for tick, pid, action in sim.crash_plan:
             if action not in ("crash", "recover"):
                 raise ValueError(f"crash plan action must be 'crash' or 'recover', got {action!r}")
@@ -166,12 +167,6 @@ class World:
             heapq.heappush(self.due_ticks, tick)
         else:
             bucket.append(entry)
-
-    def _below(self, n: int) -> int:
-        """`rng.randrange(n)` for n >= 1 (`core.randbelow`). `_pop_random`
-        and `_schedule_send` run the same loop inline. n < 1 would loop
-        forever, which is why `World` rejects `max_delay < 1`."""
-        return randbelow(self._getrandbits, n)
 
     def _pop_random(self):
         """Pop one event uniformly at random among those due earliest.
@@ -229,7 +224,7 @@ class World:
             bucket.append(ev)
         if not sim.fifo and self.rng.random() < sim.dup:
             self.trace.append(DuplicateEv(tick, idx))
-            self._push(tick + 1 + self._below(n), ev)
+            self._push(tick + 1 + randbelow(self._getrandbits, n), ev)
 
     # -- effect processing ----------------------------------------------------
 
@@ -250,18 +245,18 @@ class World:
     def _client_response(self, reply: Reply, depth: int) -> None:
         client = reply.client
         cs = self.clients[client]
-        meta = cs.ops_meta.pop(reply.client_seq, None)
-        if meta is None:
+        invoke = cs.ops_meta.pop(reply.client_seq, None)
+        if invoke is None:
             raise RuntimeError(f"client {client} op {reply.client_seq} answered twice")
-        key, kind, token = meta
+        key = invoke.key
         self.trace.append(
             ClientResponseEv(
                 self.tick, client, reply.client_seq, key, reply.status, reply.value, depth
             )
         )
-        self.histories.setdefault(key, []).append(HistoryEvent(
-            "respond", client, reply.client_seq, kind, key, token, reply.value, reply.status,
-            self.tick))
+        self.histories[key].append(HistoryEvent(
+            "respond", client, reply.client_seq, invoke.op, key, invoke.token, reply.value,
+            reply.status, self.tick))
         self._schedule_next_op(cs)
 
     def _schedule_next_op(self, cs: _ClientState) -> None:
@@ -276,41 +271,44 @@ class World:
         self._push(self.tick + 1 + script.think, ("invoke", script.client))
 
     def _invoke(self, client: int) -> None:
+        """Submit `client`'s next scripted op."""
         cs = self.clients[client]
-        script = cs.script
         if cs.finished:
             return
-        if script.loop_until is None and cs.issued >= len(script.ops):
-            cs.finished = True
-            return
-        spec = script.ops[cs.issued % len(script.ops)]
+        script = cs.script
         op_index = cs.issued
         cs.issued += 1
+        spec = script.ops[op_index % len(script.ops)]
         token: Optional[str] = None
         cmd = spec.cmd
         if spec.kind is ReqKind.WRITE and spec.make_cmd is not None:
             token = f"{client}.{op_index}"
             cmd = spec.make_cmd(token)
-        self.trace.append(
-            ClientInvokeEv(self.tick, client, op_index, script.key, spec.kind, token)
-        )
-        self.histories.setdefault(script.key, []).append(HistoryEvent(
-            "invoke", client, op_index, spec.kind, script.key, token, spec.arg, None, self.tick))
         self.submit(client, script.key, spec.kind, cmd, op_index, token)
 
     def submit(self, client: int, key: bytes, kind: ReqKind, cmd: Optional[UpdateCommand],
                op_index: int, token: Optional[str] = None) -> None:
         """Hand one request to `client`'s proposer and schedule its effects.
 
-        Records the op so that its reply is traced and added to the key's
-        history. Emits no invoke event: a scripted op traces its own first.
-        A crashed proposer admits nothing: the op stays incomplete.
+        Traces the op's invoke and adds it to the key's history; a write-once
+        write's invoke carries the literal the proposer proposes for it. The
+        op stays open in `ops_meta` until its reply closes it. A crashed
+        proposer admits nothing: the op is recorded but never opened.
         """
         cs = self.clients[client]
+        value = None
+        if kind is ReqKind.WRITE and self.config.register_mode is Mode.WRITE_ONCE:
+            try:
+                value = apply_command(cmd, EMPTY)
+            except CommandError:
+                pass
+        self.trace.append(ClientInvokeEv(self.tick, client, op_index, key, kind, token))
+        invoke = HistoryEvent("invoke", client, op_index, kind, key, token, value, None, self.tick)
+        self.histories.setdefault(key, []).append(invoke)
         pid = cs.script.proposer
         if pid in self.down:
             return
-        cs.ops_meta[op_index] = (key, kind, token)
+        cs.ops_meta[op_index] = invoke
         effects = self.proposers[pid].submit(key, kind, cmd, client, op_index)
         self._apply_effects(pid, effects, depth=0)
 

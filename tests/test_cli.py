@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import rmwreg
-from rmwreg.cli import main
+from rmwreg import checker
+from rmwreg.cli import check_result, default_scripts, main
 from rmwreg.core import Config, Mode
 from rmwreg.sim import SimConfig, run_workload, trace_to_jsonl
 
@@ -355,5 +356,19 @@ def test_serve_processes_form_a_group(capsys):
         finally:
             for server in servers:
                 server.kill()  # only one still running after its 5 s
+                server.wait()
                 server.stdout.close()
     assert codes == [0, 0, 0]
+
+
+def test_long_write_once_history_is_not_checkable():
+    """Exhaustive linearizability stops at `MAX_LINEARIZE_OPS` ops: a longer
+    write-once history is marked NotCheckable, not passed."""
+    scripts = default_scripts(Mode.WRITE_ONCE, 5)
+    res = run_workload(Config(n_acceptors=3, register_mode=Mode.WRITE_ONCE),
+                       SimConfig(seed=0), scripts)
+    assert len(res.history()) > 2 * checker.MAX_LINEARIZE_OPS
+    verdict = check_result(Mode.WRITE_ONCE, res, 3)
+    assert not verdict.checkable
+    assert [v.prop for v in verdict.violations] == ["NotCheckable"]
+    assert "capped at 12 operations" in verdict.violations[0].detail

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rmwreg import kv
-from rmwreg.core import EMPTY, CommandError, Config, Mode, Value, apply_command
+from rmwreg import checker, kv
+from rmwreg.core import EMPTY, PROPOSER_BASE, CommandError, Config, Mode, Value, apply_command
+from rmwreg.messages import ReqKind, Status
 from rmwreg.sim import SimConfig
 
 KEY = b"k"
@@ -186,3 +187,48 @@ def test_counter_reads_non_decreasing_under_updates():
         assert cur >= last
         last = cur
     assert last == 20
+
+
+def test_sim_driver_sessions_are_checkable():
+    """Every op of a session enters the world through `World.submit`, which
+    records its invoke, so the session's history and trace go through the
+    same checkers as a fuzz seed's."""
+    d = driver(Mode.WRITE_ONCE)
+    assert d.submit(KEY, ReqKind.READ, None) == (Status.EMPTY, EMPTY)
+    assert d.submit(KEY, ReqKind.WRITE, kv.SetCmd("a")) == (Status.DONE, kv.to_payload("a"))
+    assert d.submit(KEY, ReqKind.WRITE, kv.SetCmd("b")) == (
+        Status.ALREADY_CHOSEN, kv.to_payload("a"))
+    assert d.submit(KEY, ReqKind.READ, None) == (Status.DONE, kv.to_payload("a"))
+    history = d.world.histories[KEY]
+    assert checker.check_write_once(history).ok
+    assert checker.audit_propositions(d.world.trace, 3).ok
+    assert [e.kind for e in history] == ["invoke", "respond"] * 4
+    assert [e.value for e in history if e.kind == "invoke"] == [
+        None, kv.to_payload("a"), kv.to_payload("b"), None]
+
+    d = driver(Mode.RMW)
+    for i in range(4):
+        assert d.submit(KEY, ReqKind.WRITE, kv.append_token(f"t{i}"))[0] is Status.DONE
+        status, value = d.submit(KEY, ReqKind.READ, None)
+        assert status is Status.DONE
+        assert checker.sequence_of(value) == [f"t{j}" for j in range(i + 1)]
+    verdict = checker.check_exactly_once(d.world.histories[KEY])
+    assert verdict.ok and verdict.checkable
+    assert checker.audit_propositions(d.world.trace, 3).ok
+
+
+def test_get_through_a_crashed_proposer_is_unavailable():
+    d = kv.SimDriver(Config(n_acceptors=3, register_mode=Mode.RMW),
+                     SimConfig(seed=1, crash_plan=((0, PROPOSER_BASE, "crash"),)))
+    d.world.run()  # the crash
+    with pytest.raises(kv.Unavailable, match="read of b'k'"):
+        d.facade().get(KEY)
+    assert d.world.clients[0].ops_meta == {}  # never admitted
+
+
+def test_sim_driver_answers_unavailable_when_its_step_budget_runs_out():
+    d = kv.SimDriver(Config(n_acceptors=3, register_mode=Mode.RMW),
+                     SimConfig(seed=1, max_steps=3))
+    assert d.submit(KEY, ReqKind.WRITE, kv.AddCmd(1)) == (Status.UNAVAILABLE, EMPTY)
+    assert d.world.steps == 3
+    assert 0 in d.world.clients[0].ops_meta  # admitted, still open

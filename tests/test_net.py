@@ -231,6 +231,40 @@ def test_hung_peer_connect_does_not_stall_the_others():
     assert max(stop_times) < 0.5
 
 
+def test_pending_peer_connect_is_redialled_after_its_timeout(monkeypatch):
+    """A peer connect still pending at `CONNECT_TIMEOUT_S` is closed, and
+    the peer is dialled again once the backoff has passed."""
+    monkeypatch.setattr(net, "CONNECT_TIMEOUT_S", 0.1)
+    dials = []
+    connect = Replica._connect
+
+    def counting_connect(self, target):
+        conn = connect(self, target)
+        if conn is not None and (self.index, target) == (0, 2):
+            dials.append(time.monotonic())
+        return conn
+
+    monkeypatch.setattr(Replica, "_connect", counting_connect)
+    hung, held = hung_address()
+    addrs = free_addresses(2) + [hung]
+    replicas = start_group(addrs, indexes=(0, 1))  # replica 2 never answers
+    client = NetClient(addrs[0])
+    try:
+        f = client.facade(Mode.RMW)
+        deadline = time.monotonic() + 5
+        while len(dials) < 2 and time.monotonic() < deadline:
+            f.update(b"k", kv.AddCmd(1))
+            time.sleep(0.02)
+    finally:
+        client.close()
+        for r in replicas:
+            r.stop()
+        for sock in held:
+            sock.close()
+    assert len(dials) >= 2
+    assert dials[1] - dials[0] >= 0.1
+
+
 def fake_replica(handlers):
     """A stand-in replica that accepts one client and answers its first
     `len(handlers)` requests, the i-th by `handlers[i](request, conn)`,

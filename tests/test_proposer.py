@@ -268,6 +268,25 @@ def test_read_with_a_silent_acceptor_retries_when_its_timer_fires():
     assert stats.write_throughs == 1
 
 
+def test_escalated_read_on_a_never_voted_quorum_answers_empty():
+    """Acceptors 0 and 1 each hold a phantom vote, so the first attempt's
+    quorum (0, 1, 2) is neither chosen nor empty. The escalated attempt then
+    hears only never-voted acceptors: nothing was chosen, and the read
+    answers EMPTY without proposing."""
+    net = Loopback(Config(n_acceptors=5, register_mode=Mode.RMW, read_retry_limit=0))
+    for a, (r_voted, val) in zip(net.acceptors.values(), (
+            (Round(1, 2000), Value(b'["x"]')), (Round(2, 2001), Value(b'["y"]')))):
+        a.cells[b"k"] = AcceptorState(r_voted, val, r_voted, None)
+    net.silent = {3, 4}
+    net.submit(b"k", ReqKind.READ, seq=0)
+    assert net.replies == []
+    net.silent = {0, 1}
+    net.fire_timers()
+    assert [(r.status, r.value) for r in net.replies] == [(Status.EMPTY, EMPTY)]
+    assert net.proposer.stats.read_escalations == 1
+    assert not [s for s in net.sent if isinstance(s.msg, Vote)]
+
+
 # Votes an acceptor may hold: one value per round, as the protocol keeps it.
 VOTES = (
     (Round(1, 1000), Value(b'"a"'), None),

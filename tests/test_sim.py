@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from rmwreg import acceptor, checker, kv, messages, proposer, quorum
-from rmwreg.core import Config, Mode, ReqID, Round, Value
+from rmwreg.core import Config, Mode, ReqID, Round, Value, randbelow
 from rmwreg.messages import ReqKind, Status, Ticket
 from rmwreg.sim import (
     PROPOSER_BASE,
@@ -57,18 +57,20 @@ def test_max_delay_below_one_rejected():
 
 
 def test_below_draws_the_randrange_stream():
-    """`World._below` must reproduce `randrange` draw for draw, and
-    `1 + _below(d)` must equal `randint(1, d)`, with `random()` calls
-    interleaved: this is why the golden digests survive the helper."""
+    """`core.randbelow` on a world's generator must reproduce `randrange`
+    draw for draw, and `1 + randbelow(d)` must equal `randint(1, d)`, with
+    `random()` calls interleaved: this is why the golden digests survive
+    the helper."""
     cfg = Config(n_acceptors=3, register_mode=Mode.SEQUENCE)
     for seed in range(4):
         world = World(cfg, SimConfig(seed=seed), [])
         ref = random.Random(seed)
+        getrandbits = world.rng.getrandbits
         for i in range(3000):
             for n in (1, 2, 3, 5, 8, 10, 64, 96, 1000):
-                assert world._below(n) == ref.randrange(n)
+                assert randbelow(getrandbits, n) == ref.randrange(n)
             for d in (1, 5, 10):
-                assert 1 + world._below(d) == ref.randint(1, d)
+                assert 1 + randbelow(getrandbits, d) == ref.randint(1, d)
             if i % 3 == 0:
                 assert world.rng.random() == ref.random()
         assert world.rng.getstate() == ref.getstate()
