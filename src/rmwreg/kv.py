@@ -244,7 +244,10 @@ class SimDriver:
         world = self.world
         seq = self.seq
         self.seq += 1
-        world.submit(0, key, kind, cmd, seq)
+        # An append's element is its write token, which the sequence checkers
+        # look for in later reads.
+        token = cmd.elem if isinstance(cmd, AppendCmd) else None
+        world.submit(0, key, kind, cmd, seq, token)
         open_ops = world.clients[0].ops_meta
         while seq in open_ops and world.steps < world.sim.max_steps and world.step():
             pass

@@ -50,7 +50,9 @@ from .messages import (  # the effects are re-exported for callers of this modul
     Vote,
     Voted,
 )
-from .quorum import ValueChosen, classify, find_chosen_in_pool, find_empty_in_pool, quorum_size
+from .quorum import ReadPool, ValueChosen, classify, quorum_size
+# Unused here, but bench/spans.py times the pool scans as bound in this module.
+from .quorum import find_chosen_in_pool, find_empty_in_pool  # noqa: F401
 
 REQUEST_TIMEOUT_TICKS = 60
 
@@ -82,7 +84,11 @@ class Request:
     not. `waiting` holds the clients not yet answered, in admission order;
     each answer takes its entry out, so no client is answered twice and no
     answered command is applied again. An instance is in phase 1 until it
-    proposes (`proposal` set); an evicted request has nobody waiting."""
+    proposes (`proposal` set); an evicted request has nobody waiting.
+
+    A read's `read_pool` holds its replies of every attempt, classified as
+    they arrive; it is built on the read's first Ack. `voters` is built when
+    an instance proposes, and only read while it has a `proposal`."""
 
     rid: int
     key: bytes
@@ -93,11 +99,11 @@ class Request:
 
     instance: int = 0
     acks: Dict[ProcessId, Ack] = field(default_factory=dict)
-    pool: List[Ack] = field(default_factory=list)  # reads: replies across attempts
+    read_pool: Optional[ReadPool] = None  # reads: replies across attempts
     top_n: int = 0  # largest round number this instance's Acks and Nacks showed
     proposal: Optional[Vote] = None  # the phase-2 message of this instance
     writethrough: bool = False  # the proposal consolidates someone's value
-    voters: set = field(default_factory=set)
+    voters: Optional[set] = None  # acceptors that voted `proposal`
     retry_count: int = 0
     prev_rounds: Optional[tuple] = None
     escalated: bool = False  # read forced onto the write path
@@ -224,17 +230,23 @@ class Proposer:
         req = self.requests.get(ack.ticket.request)
         if req is None:
             return []
-        is_read = req.kind is ReqKind.READ
-        if is_read:
-            req.pool.append(ack)
-        if ack.ticket.instance != req.instance or req.proposal is not None:
-            if is_read:
+        current = ack.ticket.instance == req.instance and req.proposal is None
+        if req.kind is ReqKind.READ:
+            pool = req.read_pool
+            if pool is None:
+                pool = req.read_pool = ReadPool(self.quorum)
+            pool.add(ack)
+            if not current:
                 return self._evaluate_read_pool(req)
+            if not req.escalated:
+                # No `top_n`: nothing nacks a round-less attempt, and
+                # `_reset_instance` zeroes it before the read escalates.
+                req.acks[ack.src] = ack
+                return self._evaluate_read(req)
+        elif not current:
             return []
         req.acks[ack.src] = ack
         req.top_n = max(req.top_n, ack.r_ack.n, ack.r_voted.n)
-        if is_read and not req.escalated:
-            return self._evaluate_read(req)
         if len(req.acks) >= self.quorum:
             return self._classify_and_dispatch(req)
         return []
@@ -319,10 +331,10 @@ class Proposer:
     # -- read path --------------------------------------------------------------
 
     def _evaluate_read_pool(self, req: Request) -> List[Effect]:
-        chosen = find_chosen_in_pool(req.pool, self.quorum)
-        if chosen is not None:
-            return self._finish(req, Status.DONE, chosen[0])
-        if find_empty_in_pool(req.pool, self.quorum):
+        pool = req.read_pool
+        if pool.chosen is not None:
+            return self._finish(req, Status.DONE, pool.chosen[0])
+        if pool.empty:
             return self._finish(req, Status.EMPTY, EMPTY)
         return []
 
@@ -494,7 +506,6 @@ class Proposer:
     def _reset_instance(self, req: Request) -> None:
         req.instance += 1
         req.acks = {}
-        req.voters = set()
         req.proposal = None
         req.top_n = 0
 

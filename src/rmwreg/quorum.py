@@ -4,11 +4,16 @@
 acceptor, and says what the proposer does next: the previous consensus is
 finished (`ValueChosen`: propose its successor), a promise is held
 (`ReadyToPropose`: write the newest vote through, or propose afresh), or
-the quorum is contended (None: retry with an explicit round). Reads pool
-their replies across attempts instead (`find_chosen_in_pool`,
-`find_empty_in_pool`). The outcomes are slotted records, like the
-messages: one is built per classification, and none is reassigned after
-construction.
+the quorum is contended (None: retry with an explicit round). The outcomes
+are slotted records, like the messages: one is built per classification,
+and none is reassigned after construction.
+
+Reads pool their replies across attempts instead. A `ReadPool` classifies
+each reply as it arrives, at a cost that does not grow with the pool:
+whether the replies so far hold a quorum of one vote, or a quorum of
+acceptors that never voted. `find_chosen_in_pool` and `find_empty_in_pool`
+state the same answers as scans over the whole pool; they are the
+reference the pool is tested against.
 """
 from __future__ import annotations
 
@@ -61,7 +66,7 @@ def classify(replies: Collection[Ack]) -> Union[ValueChosen, ReadyToPropose, Non
     None means retry with an explicit round.
 
     Pure function of the replies; repeated calls agree. Reads finish from
-    their reply pool instead (`find_chosen_in_pool`, `find_empty_in_pool`).
+    their reply pool instead (`ReadPool`).
     """
     first = next(iter(replies))
     r_ack = first.r_ack
@@ -81,6 +86,51 @@ def classify(replies: Collection[Ack]) -> Union[ValueChosen, ReadyToPropose, Non
 
 # ---------------------------------------------------------------------------
 # pooled read classification
+
+
+class ReadPool:
+    """A read's replies across all its attempts, classified as each arrives.
+    After every `add`, `chosen` is what `find_chosen_in_pool` returns and
+    `empty` what `find_empty_in_pool` returns for the replies added so far.
+
+    `groups` maps each vote `(r_voted, val, req)` to its position among the
+    groups, in the order first seen, and the set of its senders; `unvoted`
+    holds the senders that reported never voting. `chosen` only changes when
+    a group reaches `required` senders, so each reply costs the same however
+    many came before it.
+    """
+
+    __slots__ = ("required", "groups", "unvoted", "chosen", "_rank")
+
+    def __init__(self, required: int):
+        self.required = required
+        self.groups: dict = {}
+        self.unvoted: set = set()
+        self.chosen: Optional[Tuple[Value, Round, Optional[ReqID]]] = None
+        self._rank: tuple = ()  # `chosen`'s (round_sort_key, -position)
+
+    def add(self, ack: Ack) -> None:
+        r_voted = ack.r_voted
+        if r_voted == ROUND_ZERO:
+            self.unvoted.add(ack.src)
+            return
+        vote = (r_voted, ack.val, ack.req)
+        group = self.groups.get(vote)
+        if group is None:
+            group = self.groups[vote] = (len(self.groups), set())
+        senders = group[1]
+        senders.add(ack.src)
+        if len(senders) == self.required:
+            # The newest round wins; of equally new groups, the first seen,
+            # as in `find_chosen_in_pool`, even when it reaches quorum later.
+            rank = (round_sort_key(r_voted), -group[0])
+            if rank > self._rank:
+                self.chosen = (ack.val, r_voted, ack.req)
+                self._rank = rank
+
+    @property
+    def empty(self) -> bool:
+        return len(self.unvoted) >= self.required
 
 
 def find_chosen_in_pool(

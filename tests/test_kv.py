@@ -212,8 +212,12 @@ def test_sim_driver_sessions_are_checkable():
         status, value = d.submit(KEY, ReqKind.READ, None)
         assert status is Status.DONE
         assert checker.sequence_of(value) == [f"t{j}" for j in range(i + 1)]
-    verdict = checker.check_exactly_once(d.world.histories[KEY])
-    assert verdict.ok and verdict.checkable
+    history = d.world.histories[KEY]
+    assert [e.token for e in history if e.kind == "invoke"] == [
+        tok for i in range(4) for tok in (f"t{i}", None)]
+    for check in (checker.check_sequence, checker.check_exactly_once):
+        verdict = check(history)
+        assert verdict.ok and verdict.checkable, verdict
     assert checker.audit_propositions(d.world.trace, 3).ok
 
 

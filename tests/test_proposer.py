@@ -295,6 +295,17 @@ VOTES = (
 )
 
 
+def acceptors_holding(config, cells):
+    """One acceptor per cell, holding the cell's vote (None: never voted)
+    under the promise its vote left."""
+    acceptors = [Acceptor(i, config) for i in range(config.n_acceptors)]
+    for a, vote in zip(acceptors, cells):
+        if vote is not None:
+            r_voted, val, req = vote
+            a.cells[b"k"] = AcceptorState(Round(r_voted.n + 1, r_voted.id), val, r_voted, req)
+    return acceptors
+
+
 @st.composite
 def read_cases(draw):
     n = draw(st.sampled_from([3, 5]))
@@ -313,11 +324,7 @@ def test_read_outcome_follows_the_pool_and_waits_for_the_attempt(case):
     fires."""
     n, cells, order, heard = case
     config = Config(n_acceptors=n, register_mode=Mode.SEQUENCE)
-    acceptors = [Acceptor(i, config) for i in range(n)]
-    for a, vote in zip(acceptors, cells):
-        if vote is not None:
-            r_voted, val, req = vote
-            a.cells[b"k"] = AcceptorState(Round(r_voted.n + 1, r_voted.id), val, r_voted, req)
+    acceptors = acceptors_holding(config, cells)
     p = Proposer(1000, config, random.Random(0))
     q = quorum_size(n)
     effects = p.submit(b"k", ReqKind.READ, None, 0, 0)
@@ -347,6 +354,86 @@ def test_read_outcome_follows_the_pool_and_waits_for_the_attempt(case):
     assert sorted(e.dst for e in effects if isinstance(e, Send)) == list(range(n))
     retried = heard >= q
     assert (p.stats.read_retries, p.stats.restarts) == (int(retried), int(not retried))
+
+
+@st.composite
+def contended_cells(draw):
+    """Acceptor cells that hold neither a quorum of one vote nor a quorum
+    that never voted."""
+    n = draw(st.sampled_from([3, 5]))
+    q = quorum_size(n)
+    cells = draw(st.lists(st.sampled_from((None,) + VOTES), min_size=n, max_size=n)
+                 .filter(lambda cs: all(cs.count(c) < q for c in (None,) + VOTES)))
+    return n, cells
+
+
+@given(contended_cells(), st.data())
+def test_read_across_attempts_answers_from_every_reply_delivered(case, data):
+    """Without a consistent quorum to find, a read retries once and then
+    escalates, whatever order its messages take and whenever its timers fire,
+    so replies of earlier attempts land late, out of instance. Each time the
+    read judges its pool (every reply but the current instance's of an
+    escalated read), it answers exactly when the replies delivered so far
+    hold a consistent quorum, with what `find_chosen_in_pool`/
+    `find_empty_in_pool` find in them. It answers once."""
+    n, cells = case
+    config = Config(n_acceptors=n, register_mode=Mode.SEQUENCE, read_retry_limit=1)
+    acceptors = acceptors_holding(config, cells)
+    p = Proposer(1000, config, random.Random(0))
+    q = quorum_size(n)
+    in_flight, timers, answers, seen = [], [], [], []
+
+    def absorb(effects):
+        for e in effects:
+            if isinstance(e, Send):
+                in_flight.append(e)
+            elif isinstance(e, SetTimer):
+                timers.append(e.token)
+            else:
+                answers.append(e)
+
+    def deliver(send):
+        msg = send.msg
+        if send.dst < n:
+            absorb(acceptors[send.dst].handle(msg))
+            return
+        req = p.requests.get(0)
+        if req is None or type(msg) is not Ack:
+            absorb(p.on_message(msg))
+            return
+        judged = (msg.ticket.instance != req.instance or req.proposal is not None
+                  or not req.escalated)
+        seen.append(msg)
+        effects = p.on_message(msg)
+        absorb(effects)
+        if not judged:
+            return
+        replies = [e for e in effects if isinstance(e, Reply)]
+        chosen = find_chosen_in_pool(seen, q)
+        if chosen is not None:
+            assert replies == [Reply(0, Status.DONE, chosen[0], 0)]
+        elif find_empty_in_pool(seen, q):
+            assert replies == [Reply(0, Status.EMPTY, EMPTY, 0)]
+        else:
+            assert replies == []
+
+    absorb(p.submit(b"k", ReqKind.READ, None, 0, 0))
+    for step in range(400):
+        live = [t for t in timers if p.timer_live(t)]
+        if not in_flight and not live:
+            break
+        if step < 60:  # any message or timer next
+            pick = data.draw(st.integers(0, len(in_flight) + len(live) - 1))
+        else:  # then drain: every message in order, a timer when none is left
+            pick = 0
+        if pick < len(in_flight):
+            deliver(in_flight.pop(pick))
+        else:
+            token = live[pick - len(in_flight)]
+            timers.remove(token)
+            absorb(p.on_timer(token))
+    assert len(answers) == 1 and answers[0].status is Status.DONE
+    assert (p.stats.read_retries, p.stats.read_escalations) == (1, 1)
 
 
 def test_timer_restart_completes_after_total_loss():

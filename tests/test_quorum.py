@@ -5,6 +5,7 @@ from rmwreg.core import EMPTY, Ordering, ReqID, ROUND_ZERO, Round, Value, round_
 from rmwreg.messages import Ack, Ticket
 from rmwreg.quorum import (
     ConfigurationError,
+    ReadPool,
     ReadyToPropose,
     ValueChosen,
     classify,
@@ -201,3 +202,47 @@ def test_find_empty_in_pool_counts_distinct_senders():
     assert not find_empty_in_pool(pool, 2)
     pool.append(ack(2))
     assert find_empty_in_pool(pool, 2)
+
+
+def test_read_pool_ties_go_to_the_group_seen_first():
+    """Two groups in one round: the one seen first wins, as in the scan, even
+    when the other reaches quorum before it."""
+    r = Round(2, 1)
+    b, c = ack(0, r_voted=r, val=Value(b"b")), ack(1, r_voted=r, val=Value(b"c"))
+    pool = ReadPool(2)
+    for reply in (b, c, ack(2, r_voted=r, val=Value(b"c"))):
+        pool.add(reply)
+    assert pool.chosen == (Value(b"c"), r, None)
+    pool.add(ack(3, r_voted=r, val=Value(b"b")))
+    assert pool.chosen == (Value(b"b"), r, None) == find_chosen_in_pool(
+        [b, c, ack(2, r_voted=r, val=Value(b"c")), ack(3, r_voted=r, val=Value(b"b"))], 2)
+
+
+# Votes a pooled reply may report: never voted, and four groups, three of
+# them in round (2, 1) so that their round keys tie.
+POOL_VOTES = (
+    (ROUND_ZERO, EMPTY, None),
+    (Round(1, 0), Value(b"a"), None),
+    (Round(2, 1), Value(b"b"), None),
+    (Round(2, 1), Value(b"c"), None),
+    (Round(2, 1), Value(b"b"), ReqID(1, 0)),
+    (Round(3, None), Value(b"d"), None),
+)
+
+pooled_replies = st.builds(
+    lambda src, instance, vote: Ack(b"k", src, Ticket(0, instance), Round(4, 0),
+                                    vote[1], vote[0], vote[2], False),
+    st.integers(0, 4), st.integers(0, 3), st.sampled_from(POOL_VOTES))
+
+
+@given(st.lists(pooled_replies, max_size=14), st.integers(1, 3))
+def test_read_pool_agrees_with_the_reference_scans_after_every_reply(replies, required):
+    """Replies of several attempts, senders repeated, never-voted replies and
+    groups whose round keys tie: after each reply the pool's answers are the
+    scans' answers over every reply so far."""
+    pool = ReadPool(required)
+    for i, reply in enumerate(replies):
+        pool.add(reply)
+        seen = replies[:i + 1]
+        assert pool.chosen == find_chosen_in_pool(seen, required)
+        assert pool.empty == find_empty_in_pool(seen, required)
