@@ -8,7 +8,16 @@ underpin those properties.
 
 Sequence checking relies on the append-log test payload: every update
 appends its own unique token, so the update sequence of a value can be
-read directly off the payload (a JSON list of strings).
+read directly off the payload (a JSON list of strings). When the reads
+form a prefix chain, as in every correct history, the sequence properties
+are checked by sorted sweeps over the reads and updates, each distinct read
+value compared once with the next longer one. Any other history falls back
+to comparing every pair of reads, which is also the reference the sweeps
+are tested against.
+
+The trace audit is one walk over the trace, after the run: it keeps per
+key the votes, proposals and latest acceptor cells seen so far, and checks
+each response and state change as it comes.
 """
 from __future__ import annotations
 
@@ -16,7 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Ordering, Value, round_compare
+from .acceptor import INITIAL_STATE, AcceptorState
+from .core import Value
 from .messages import ReqKind, Status, Vote, Voted
 from .quorum import quorum_size
 from .trace import ClientResponseEv, SendEv, StateSnapshotEv
@@ -230,14 +240,21 @@ def _is_prefix(a: List[str], b: List[str]) -> bool:
 
 def _read_sequences(ops, verdict: Verdict):
     """Yields (read, its update sequence) for each answered read, in order.
-    At a read whose value is not an append-log payload, marks `verdict` not
+    Reads of one value share one decoded list, which no caller changes. At a
+    read whose value is not an append-log payload, marks `verdict` not
     checkable and stops."""
+    empty: List[str] = []
+    decoded: Dict[Optional[Value], Optional[List[str]]] = {}
     for op in ops:
         if op.kind is ReqKind.READ and op.resp is not None:
             if op.status is Status.EMPTY:
-                yield op, []
+                yield op, empty
             elif op.status is Status.DONE:
-                seq = sequence_of(op.result)
+                value = op.result
+                if value in decoded:
+                    seq = decoded[value]
+                else:
+                    seq = decoded[value] = sequence_of(value)
                 if seq is None:
                     verdict.checkable = False
                     verdict.flag("NotCheckable", "read value is not an append-log payload")
@@ -246,13 +263,99 @@ def _read_sequences(ops, verdict: Verdict):
 
 
 def check_sequence(history: Sequence[HistoryEvent]) -> Verdict:
-    """CS-Nontriviality/Stability/Consistency/Update-Visibility/Update-Stability."""
+    """CS-Nontriviality/Stability/Consistency/Update-Visibility/Update-Stability.
+
+    When the reads form a prefix chain, as CS-Consistency asserts, sorted
+    sweeps check all five (`_sweep_sequence`); otherwise every pair of reads
+    is compared (`_pairwise_sequence`, the reference)."""
     verdict = Verdict()
     ops = _ops_of(history)
     reads = list(_read_sequences(ops, verdict))
-    if not verdict.checkable:
-        return verdict
+    if verdict.checkable and not _sweep_sequence(ops, reads, verdict):
+        _pairwise_sequence(ops, reads, verdict)
+    return verdict
 
+
+def _best_before(done, asked):
+    """Yields (op, item, best) for each (op, item) of `asked`, in invocation
+    order. `best` is the (score, x) with the highest score among the
+    (op, score, x) of `done` whose op responded before `op` was invoked, or
+    (-1, None) when none did."""
+    done = sorted(done, key=lambda d: d[0].resp)
+    best = (-1, None)
+    i = 0
+    for op, item in sorted(asked, key=lambda a: a[0].inv):
+        while i < len(done) and done[i][0].resp < op.inv:
+            if done[i][1] > best[0]:
+                best = done[i][1:]
+            i += 1
+        yield op, item, best
+
+
+def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
+    """The five properties by sorted sweeps, if every read is a prefix of the
+    longest read `S`. A read is then known by its length, and a token by its
+    positions in `S`. Returns False, having flagged nothing, when the reads
+    form no such chain."""
+    chain = sorted({id(seq): seq for _, seq in reads}.values(), key=len)
+    for shorter, longer in zip(chain, chain[1:]):
+        if longer[: len(shorter)] != shorter:
+            return False
+    longest = chain[-1] if chain else []
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+    for pos, token in enumerate(longest):
+        first.setdefault(token, pos)
+        last[token] = pos
+
+    submitted = {op.token for op in ops if op.kind is ReqKind.WRITE and op.token}
+    stray_at = min((pos for token, pos in first.items() if token not in submitted),
+                   default=len(longest))
+    for op, seq in reads:
+        if len(seq) > stray_at:
+            verdict.flag(
+                "CS-Nontriviality", f"read returned unsubmitted updates {sorted(set(seq) - submitted)}"
+            )
+
+    # CS-Consistency holds on a chain. CS-Stability: no read is longer than
+    # one invoked after it responded.
+    for op, seq, (longer, earlier) in _best_before(
+        [(op, len(seq), seq) for op, seq in reads], reads
+    ):
+        if longer > len(seq):
+            verdict.flag(
+                "CS-Stability", f"earlier read {earlier} is not a prefix of later read {seq}"
+            )
+
+    # CS-Update-Visibility: a read holds the first position in `S` of every
+    # update completed before it was invoked (a token missing from `S` sits at
+    # its end).
+    completed = [op for op in ops if op.kind is ReqKind.WRITE and op.status is Status.DONE]
+    for op, seq, (pos, token) in _best_before(
+        [(w, first.get(w.token, len(longest)), w.token) for w in completed], reads
+    ):
+        if pos >= len(seq):
+            verdict.flag(
+                "CS-Update-Visibility", f"completed update {token} missing from later read {seq}"
+            )
+
+    # CS-Update-Stability: every read is a prefix of `S`, so an update that
+    # appears before the last copy of an earlier update in some read does so
+    # in `S`.
+    for w2, _, (pos, token) in _best_before(
+        [(w, last.get(w.token, -1), w.token) for w in completed],
+        [(w, None) for w in completed],
+    ):
+        if w2.token in first and pos > first[w2.token]:
+            verdict.flag(
+                "CS-Update-Stability", f"{w2.token} appears before the last {token} in {longest}"
+            )
+    return True
+
+
+def _pairwise_sequence(ops, reads, verdict: Verdict) -> None:
+    """The five properties by comparing every pair of reads, and every read
+    with every pair of completed updates."""
     submitted = {op.token for op in ops if op.kind is ReqKind.WRITE and op.token}
     for op, seq in reads:
         stray = set(seq) - submitted
@@ -302,7 +405,6 @@ def check_sequence(history: Sequence[HistoryEvent]) -> Verdict:
                                 "CS-Update-Stability",
                                 f"{w2.token} appears before the last {w1.token} in {seq}",
                             )
-    return verdict
 
 
 def check_exactly_once(history: Sequence[HistoryEvent]) -> Verdict:
@@ -323,68 +425,38 @@ def check_exactly_once(history: Sequence[HistoryEvent]) -> Verdict:
 
 
 def audit_propositions(trace, n_acceptors: int) -> Verdict:
-    """Audit a simulator trace for the protocol invariants.
+    """Audit a simulator trace for the protocol invariants, in one walk.
 
     P1: every learned value had a voting quorum by the time it was learned.
     P2: once a value is chosen in a round, every later-round proposal in the
         same consensus epoch carries that value.
     P3: at most one proposal is issued per round number.
-    Plus: acceptor promises are monotone and votes never go below them.
+    Plus: acceptor promises are monotone and votes never go below them. Each
+    cell starts from `acceptor.INITIAL_STATE`, so its first change is checked
+    too.
+
+    A `(key, round, value)` is chosen at the send of its quorum-th distinct
+    voter's first `Voted`; a response that comes later in the trace may
+    learn it. Violations are listed P1, P2, P3, then the acceptor invariants.
     """
-    verdict = Verdict()
     quorum = quorum_size(n_acceptors)
+    p1: List[Violation] = []
+    cells: List[Violation] = []
 
-    # proposals: (key, round, value, req) -> first send index
-    proposals: Dict[tuple, int] = {}
-    # votes: (key, round, value) -> {acceptor -> first send index}
-    votes: Dict[tuple, Dict[int, int]] = {}
-    responses: List[Tuple[int, object]] = []
-    snapshots: Dict[tuple, list] = {}
-
-    # No trace event or message class is subclassed, so `type()` decides
-    # exactly, at less cost than `isinstance`.
-    for idx, ev in enumerate(trace):
-        kind = type(ev)
-        if kind is SendEv:
-            msg = ev.msg
-            if type(msg) is Vote:
-                ident = (msg.key, msg.round, msg.value, msg.req_cur)
-                proposals.setdefault(ident, idx)
-            elif type(msg) is Voted:
-                voters = votes.setdefault((msg.key, msg.round, msg.value), {})
-                voters.setdefault(msg.src, idx)
-        elif kind is ClientResponseEv:
-            responses.append((idx, ev))
-        elif kind is StateSnapshotEv:
-            snapshots.setdefault((ev.pid, ev.key), []).append((idx, ev.state))
-
-    # chosen: (key, round, value) -> trace index at which a quorum had voted
-    chosen: Dict[tuple, int] = {}
-    for (key, rnd, value), voters in votes.items():
-        if len(voters) >= quorum:
-            chosen[(key, rnd, value)] = sorted(voters.values())[quorum - 1]
-
-    # P1 with time bound: a learned value must be chosen before it is learned.
-    chosen_values: Dict[bytes, List[Tuple[object, int]]] = {}
-    for (key, rnd, value), at in chosen.items():
-        chosen_values.setdefault(key, []).append((value, at))
-    for idx, ev in responses:
-        if ev.status in (Status.DONE, Status.ALREADY_CHOSEN) and not ev.value.empty:
-            ok = any(
-                value == ev.value and at <= idx
-                for value, at in chosen_values.get(ev.key, [])
-            )
-            if not ok:
-                verdict.flag(
-                    "P1",
-                    f"value {ev.value!r} learned at event {idx} without a prior voting quorum",
-                )
-
-    # P2 per epoch; the epoch of a proposal is the length of its update
-    # sequence. Only the append-log payload exposes epochs, so other
-    # payloads are left to the history-level checks. Each value's payload is
-    # decoded once.
+    # proposals: (key, round, value, req) seen in a Vote
+    proposals: set = set()
+    # proposal count per (key, round number), for P3
+    by_number: Dict[tuple, int] = {}
+    # (round, value) of each proposal, and of each chosen value, per
+    # (key, epoch); the epoch of a value is the length of its update
+    # sequence, so only append-log payloads have one
+    proposed_in: Dict[tuple, List[tuple]] = {}
+    chosen_in: Dict[tuple, List[tuple]] = {}
     epochs: Dict[Value, Optional[int]] = {}
+    # distinct voters per (key, round, value)
+    voters_of: Dict[tuple, set] = {}
+    learnable: set = set()  # (key, value) chosen so far
+    last: Dict[tuple, AcceptorState] = {}  # (pid, key) -> its latest snapshot
 
     def epoch(value) -> Optional[int]:
         if value not in epochs:
@@ -392,54 +464,81 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
             epochs[value] = len(seq) if seq is not None else None
         return epochs[value]
 
-    by_epoch: Dict[tuple, List[tuple]] = {}
-    for (key, rnd, value, req), at in proposals.items():
-        ep = epoch(value)
-        if ep is not None:
-            by_epoch.setdefault((key, ep), []).append((rnd, value, at))
-    for (key, ep), props in by_epoch.items():
-        epoch_chosen = [
-            (rnd, value, at)
-            for (k, rnd, value), at in chosen.items()
-            if k == key and epoch(value) == ep
-        ]
-        distinct = {value for _, value, _ in epoch_chosen}
+    # No trace event or message class is subclassed, so `type()` decides
+    # exactly, at less cost than `isinstance`.
+    for idx, ev in enumerate(trace):
+        kind = type(ev)
+        if kind is SendEv:
+            msg = ev.msg
+            mkind = type(msg)
+            if mkind is Voted:
+                ident = (msg.key, msg.round, msg.value)
+                voters = voters_of.get(ident)
+                if voters is None:
+                    voters = voters_of[ident] = set()
+                elif msg.src in voters:
+                    continue
+                voters.add(msg.src)
+                if len(voters) == quorum:
+                    learnable.add((msg.key, msg.value))
+                    ep = epoch(msg.value)
+                    if ep is not None:
+                        chosen_in.setdefault((msg.key, ep), []).append((msg.round, msg.value))
+            elif mkind is Vote:
+                ident = (msg.key, msg.round, msg.value, msg.req_cur)
+                if ident in proposals:
+                    continue
+                proposals.add(ident)
+                number = (msg.key, msg.round.n)
+                by_number[number] = by_number.get(number, 0) + 1
+                ep = epoch(msg.value)
+                if ep is not None:
+                    proposed_in.setdefault((msg.key, ep), []).append((msg.round, msg.value))
+        elif kind is StateSnapshotEv:
+            cell = (ev.pid, ev.key)
+            prev = last.get(cell, INITIAL_STATE)
+            state = last[cell] = ev.state
+            promised, r_ack = prev.r_ack, state.r_ack
+            # r_ack may only grow: to a higher number, or stay the same round.
+            if promised.n >= r_ack.n and promised != r_ack:
+                cells.append(Violation(
+                    "promise-monotonicity",
+                    f"acceptor {ev.pid} r_ack went from {promised} to {r_ack}",
+                ))
+            # A vote was cast; it must match the promise in force. A cell that
+            # kept its vote mostly keeps the same `Round` object too.
+            voted = state.r_voted
+            if voted is not prev.r_voted and voted != prev.r_voted and voted != promised:
+                cells.append(Violation(
+                    "vote-safety",
+                    f"acceptor {ev.pid} voted in {voted} while promised {promised}",
+                ))
+        elif kind is ClientResponseEv:
+            if (
+                ev.status in (Status.DONE, Status.ALREADY_CHOSEN)
+                and not ev.value.empty
+                and (ev.key, ev.value) not in learnable
+            ):
+                p1.append(Violation(
+                    "P1", f"value {ev.value!r} learned at event {idx} without a prior voting quorum"
+                ))
+
+    verdict = Verdict(p1)
+    for group, props in proposed_in.items():
+        chosen = chosen_in.get(group, ())
+        distinct = {value for _, value in chosen}
         if len(distinct) > 1:
             verdict.flag("P2", f"two values chosen in one epoch: {distinct!r}")
-        for rnd_c, val_c, _ in epoch_chosen:
-            for rnd_p, val_p, _ in props:
+        for rnd_c, val_c in chosen:
+            for rnd_p, val_p in props:
                 if rnd_p.n > rnd_c.n and val_p != val_c:
                     verdict.flag(
                         "P2",
                         f"proposal in round {rnd_p} carries {val_p!r} after "
                         f"{val_c!r} was chosen in round {rnd_c}",
                     )
-
-    # P3: at most one proposal per round number.
-    by_number: Dict[tuple, set] = {}
-    for (key, rnd, value, req), _ in proposals.items():
-        by_number.setdefault((key, rnd.n), set()).add((rnd, value, req))
-    for (key, n), props in by_number.items():
-        if len(props) > 1:
-            verdict.flag("P3", f"{len(props)} distinct proposals share round number {n}")
-
-    # Acceptor invariants from state snapshots.
-    for (pid, key), snaps in snapshots.items():
-        prev = None
-        for idx, state in snaps:
-            if prev is not None:
-                cmp = round_compare(prev.r_ack, state.r_ack)
-                if cmp not in (Ordering.LESS, Ordering.EQUAL):
-                    verdict.flag(
-                        "promise-monotonicity",
-                        f"acceptor {pid} r_ack went from {prev.r_ack} to {state.r_ack}",
-                    )
-                if state.r_voted != prev.r_voted:
-                    # A vote was cast; it must match the promise in force.
-                    if round_compare(state.r_voted, prev.r_ack) is not Ordering.EQUAL:
-                        verdict.flag(
-                            "vote-safety",
-                            f"acceptor {pid} voted in {state.r_voted} while promised {prev.r_ack}",
-                        )
-            prev = state
+    for (key, n), count in by_number.items():
+        if count > 1:
+            verdict.flag("P3", f"{count} distinct proposals share round number {n}")
+    verdict.violations.extend(cells)
     return verdict

@@ -164,8 +164,8 @@ def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     seed gives the trace that `randrange`/`randint` calls would.
 
     n == 1 still draws, as `randrange(1)` does; skipping that draw would
-    shift every later one. `World._pop_random` does skip it: a one-entry
-    bucket is picked without calling this. n < 1 would loop forever.
+    shift every later one. `World.step` does skip it: a one-entry bucket is
+    picked without calling this. n < 1 would loop forever.
     """
     k = n.bit_length()
     r = getrandbits(k)

@@ -127,6 +127,7 @@ class World:
         self.sim = sim
         self.rng = random.Random(sim.seed)
         self._getrandbits = self.rng.getrandbits
+        self._delay_bits = sim.max_delay.bit_length()
         self.acceptors = {pid: Acceptor(pid, config) for pid in range(config.n_acceptors)}
         self.proposers: Dict[ProcessId, Proposer] = {}
         self.clients: Dict[int, _ClientState] = {}
@@ -168,73 +169,51 @@ class World:
         else:
             bucket.append(entry)
 
-    def _pop_random(self):
-        """Pop one event uniformly at random among those due earliest.
-
-        Once the world runs, no push is due earlier than the current tick, so
-        the earliest bucket only grows at its tail and every bucket keeps its
-        entries in push order. The pick is an index into that order: for one
-        seed the same pushes give the same picks, hence the same trace. The
-        only entry of a one-entry bucket is taken without a draw.
-        """
-        tick = self.due_ticks[0]
-        bucket = self.buckets[tick]
-        n = len(bucket)
-        if n == 1:
-            heapq.heappop(self.due_ticks)
-            del self.buckets[tick]
-            return tick, bucket[0]
-        getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return tick, bucket.pop(r)
-
-    def _schedule_send(self, src: ProcessId, dst: ProcessId, msg, depth: int) -> None:
-        idx = self.send_count
-        self.send_count = idx + 1
-        tick = self.tick
-        sim = self.sim
-        ev = SendEv(idx, tick, src, dst, msg, depth)
-        self.trace.append(ev)
-        # A lossy link draws loss, then the delay, then duplication: every
-        # trace depends on that order.
-        if not sim.fifo and self.rng.random() < sim.drop:
-            self.trace.append(DropEv(tick, idx, "loss"))
-            return
-        n = sim.max_delay
-        getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        due = tick + 1 + r
-        if sim.fifo:
-            pair = (src, dst)
-            last = self.fifo_last.get(pair, 0)
-            if due <= last:
-                due = last + 1  # strict per-pair order
-            self.fifo_last[pair] = due
-        bucket = self.buckets.get(due)
-        if bucket is None:
-            self.buckets[due] = [ev]
-            heapq.heappush(self.due_ticks, due)
-        else:
-            bucket.append(ev)
-        if not sim.fifo and self.rng.random() < sim.dup:
-            self.trace.append(DuplicateEv(tick, idx))
-            self._push(tick + 1 + randbelow(self._getrandbits, n), ev)
-
     # -- effect processing ----------------------------------------------------
 
     def _apply_effects(self, pid: ProcessId, effects, depth: int) -> None:
         """Carry out what `pid` returned while handling an event at `depth`:
-        a send is one delay deeper, a reply ends the op at `depth`."""
+        a send is one delay deeper, a reply ends the op at `depth`.
+
+        A send is traced and its delivery scheduled here. A lossy link draws
+        loss, then the delay, then duplication: every trace depends on that
+        order. A FIFO link draws only the delay, and delivers strictly after
+        the pair's previous message."""
         for eff in effects:
             kind = type(eff)
             if kind is Send:
-                self._schedule_send(pid, eff.dst, eff.msg, depth + 1)
+                idx = self.send_count
+                self.send_count = idx + 1
+                tick = self.tick
+                sim = self.sim
+                dst = eff.dst
+                ev = SendEv(idx, tick, pid, dst, eff.msg, depth + 1)
+                self.trace.append(ev)
+                if not sim.fifo and self.rng.random() < sim.drop:
+                    self.trace.append(DropEv(tick, idx, "loss"))
+                    continue
+                n = sim.max_delay
+                getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
+                k = self._delay_bits
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                due = tick + 1 + r
+                if sim.fifo:
+                    pair = (pid, dst)
+                    last = self.fifo_last.get(pair, 0)
+                    if due <= last:
+                        due = last + 1
+                    self.fifo_last[pair] = due
+                bucket = self.buckets.get(due)
+                if bucket is None:
+                    self.buckets[due] = [ev]
+                    heapq.heappush(self.due_ticks, due)
+                else:
+                    bucket.append(ev)
+                if not sim.fifo and self.rng.random() < sim.dup:
+                    self.trace.append(DuplicateEv(tick, idx))
+                    self._push(tick + 1 + randbelow(self._getrandbits, n), ev)
             elif kind is SetTimer:
                 self._push(self.tick + eff.delay, ("timer", pid, eff.token))
             elif kind is Reply:
@@ -312,42 +291,61 @@ class World:
         effects = self.proposers[pid].submit(key, kind, cmd, client, op_index)
         self._apply_effects(pid, effects, depth=0)
 
-    def _deliver(self, ev: SendEv) -> None:
-        dst = ev.dst
-        if dst in self.down:
-            self.trace.append(DropEv(self.tick, ev.idx, "crashed"))
-            return
-        self.trace.append(DeliverEv(self.tick, ev.idx))
-        acceptor = self.acceptors.get(dst)
-        if acceptor is not None:
-            msg = ev.msg
-            key = msg.key
-            cells = acceptor.cells
-            before = cells.get(key, INITIAL_STATE)
-            effects = acceptor.handle(msg)
-            after = cells.get(key, INITIAL_STATE)
-            # Most messages leave the cell object in place; only a new one
-            # needs the field-by-field comparison.
-            if after is not before and after != before:
-                self.trace.append(StateSnapshotEv(self.tick, dst, key, after))
-            self._apply_effects(dst, effects, ev.depth)
-            return
-        proposer = self.proposers.get(dst)
-        if proposer is not None:
-            self._apply_effects(dst, proposer.on_message(ev.msg), ev.depth)
-        # messages to unknown pids are silently discarded
-
     # -- main loop -------------------------------------------------------------
 
     def step(self) -> bool:
-        """Process one pending event; False when nothing is pending."""
-        if not self.due_ticks:
+        """Process one pending event; False when nothing is pending.
+
+        The event is picked uniformly at random among those due earliest.
+        Once the world runs, no push is due earlier than the current tick, so
+        the earliest bucket only grows at its tail and every bucket keeps its
+        entries in push order. The pick is an index into that order: for one
+        seed the same pushes give the same picks, hence the same trace. The
+        only entry of a one-entry bucket is taken without a draw.
+        """
+        due_ticks = self.due_ticks
+        if not due_ticks:
             return False
-        tick, entry = self._pop_random()
+        tick = due_ticks[0]
+        bucket = self.buckets[tick]
+        n = len(bucket)
+        if n == 1:
+            heapq.heappop(due_ticks)
+            del self.buckets[tick]
+            entry = bucket[0]
+        else:
+            getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            entry = bucket.pop(r)
         self.tick = tick
         self.steps += 1
         if type(entry) is SendEv:
-            self._deliver(entry)
+            dst = entry.dst
+            if dst in self.down:
+                self.trace.append(DropEv(tick, entry.idx, "crashed"))
+                return True
+            self.trace.append(DeliverEv(tick, entry.idx))
+            msg = entry.msg
+            acceptor = self.acceptors.get(dst)
+            if acceptor is not None:
+                key = msg.key
+                cells = acceptor.cells
+                before = cells.get(key, INITIAL_STATE)
+                effects = acceptor.handle(msg)
+                after = cells.get(key, INITIAL_STATE)
+                # Most messages leave the cell object in place; only a new one
+                # needs the field-by-field comparison.
+                if after is not before and after != before:
+                    self.trace.append(StateSnapshotEv(tick, dst, key, after))
+            else:
+                proposer = self.proposers.get(dst)
+                if proposer is None:
+                    return True  # messages to unknown pids are silently discarded
+                effects = proposer.on_message(msg)
+            self._apply_effects(dst, effects, entry.depth)
             return True
         kind = entry[0]
         if kind == "timer":

@@ -7,8 +7,8 @@ statistical except the read-retry trend, which uses the stated tolerances.
 """
 import itertools
 
-from rmwreg import checker, kv
-from rmwreg.checker import audit_propositions, check_exactly_once, check_sequence, check_write_once
+from rmwreg import kv
+from rmwreg.checker import check_exactly_once
 from rmwreg.core import (
     ALL_MUTATIONS,
     MUT_DROP_LEARNED,
@@ -48,10 +48,30 @@ def _append_scripts(n_clients: int, ops=(W, R, W, R)) -> list:
             for c in range(n_clients)]
 
 
+# (mutation, register mode, unreliable links?) for criterion 9, chosen so the
+# weakened behavior is reachable
+MUTATION_PLANS = (
+    (MUT_VOTE_BELOW_PROMISE, Mode.SEQUENCE, True),
+    (MUT_SUB_QUORUM, Mode.SEQUENCE, True),
+    (MUT_SKIP_WRITE_THROUGH, Mode.SEQUENCE, True),
+    (MUT_REUSE_ROUND, Mode.RMW, False),
+    (MUT_DROP_LEARNED, Mode.RMW, False),
+)
+
+
+def run_mutated(mutation: str, mode: Mode, unreliable: bool, seed: int):
+    """One seed of criterion 9's run for `mutation`."""
+    config = Config(n_acceptors=3, register_mode=mode, mutations=frozenset({mutation}))
+    sim = SimConfig(seed=seed, fifo=not unreliable,
+                    drop=0.1 if unreliable else 0.0, max_delay=8)
+    return run_workload(config, sim, _append_scripts(3))
+
+
 def test_criterion_1_write_once_safety_fuzz():
     """10,000 unreliable-network seeds across N in {3, 5} with acceptor
     crashes and duelling proposers: the write-once register never violates
-    nontriviality, stability, consistency, or linearizability."""
+    nontriviality, stability, consistency, or linearizability, and every
+    trace passes the audit of Propositions 1-3 and the acceptor invariants."""
     bad = []
     total = 0
     for n_acceptors in (3, 5):
@@ -65,10 +85,9 @@ def test_criterion_1_write_once_safety_fuzz():
             )
             result = run_workload(config, sim, default_scripts(Mode.WRITE_ONCE, duellers))
             total += 1
-            for history in result.histories.values():
-                verdict = check_write_once(history)
-                if not verdict.ok:
-                    bad.append((n_acceptors, seed, verdict.violations))
+            verdict = check_result(Mode.WRITE_ONCE, result, n_acceptors)
+            if not verdict.ok:
+                bad.append((n_acceptors, seed, verdict.violations))
     ok = _verdict_line(1, not bad, f"{total} write-once seeds, {len(bad)} violations")
     assert ok, bad[:3]
 
@@ -76,7 +95,9 @@ def test_criterion_1_write_once_safety_fuzz():
 def test_criterion_2_sequence_and_rmw_safety_fuzz():
     """10,000 FIFO seeds split across sequence and RMW modes with duels,
     acceptor crashes, and proposer mid-request failures: zero violations of
-    the sequence properties, and zero exactly-once violations under RMW."""
+    the sequence properties, zero exactly-once violations under RMW, and
+    every trace passes the audit of Propositions 1-3 and the acceptor
+    invariants."""
     bad = []
     total = 0
     for mode in (Mode.SEQUENCE, Mode.RMW):
@@ -91,12 +112,9 @@ def test_criterion_2_sequence_and_rmw_safety_fuzz():
             )
             result = run_workload(config, sim, scripts)
             total += 1
-            for history in result.histories.values():
-                verdict = check_sequence(history)
-                if mode is Mode.RMW:
-                    verdict.merge(check_exactly_once(history))
-                if not verdict.ok:
-                    bad.append((mode, seed, verdict.violations))
+            verdict = check_result(mode, result, 3)
+            if not verdict.ok:
+                bad.append((mode, seed, verdict.violations))
     ok = _verdict_line(2, not bad, f"{total} sequence/RMW seeds, {len(bad)} violations")
     assert ok, bad[:3]
 
@@ -247,29 +265,16 @@ def test_criterion_8_counter_converges_exactly():
 def test_criterion_9_mutations_are_caught():
     """Each seeded protocol mutation is caught by the checker suite within
     1,000 seeds."""
-    # (mutation, register mode, unreliable links?) chosen so the weakened
-    # behavior is reachable
-    plans = [
-        (MUT_VOTE_BELOW_PROMISE, Mode.SEQUENCE, True),
-        (MUT_SUB_QUORUM, Mode.SEQUENCE, True),
-        (MUT_SKIP_WRITE_THROUGH, Mode.SEQUENCE, True),
-        (MUT_REUSE_ROUND, Mode.RMW, False),
-        (MUT_DROP_LEARNED, Mode.RMW, False),
-    ]
-    assert {m for m, _, _ in plans} == ALL_MUTATIONS
+    assert {m for m, _, _ in MUTATION_PLANS} == ALL_MUTATIONS
     caught_at = {}
-    for mutation, mode, unreliable in plans:
-        config = Config(n_acceptors=3, register_mode=mode,
-                        mutations=frozenset({mutation}))
+    for mutation, mode, unreliable in MUTATION_PLANS:
         for seed in range(1000):
-            sim = SimConfig(seed=seed, fifo=not unreliable,
-                            drop=0.1 if unreliable else 0.0, max_delay=8)
-            res = run_workload(config, sim, _append_scripts(3))
+            res = run_mutated(mutation, mode, unreliable, seed)
             verdict = check_result(mode, res, 3)
             if not verdict.ok:
                 caught_at[mutation] = seed
                 break
-    ok = _verdict_line(9, len(caught_at) == len(plans),
+    ok = _verdict_line(9, len(caught_at) == len(MUTATION_PLANS),
                        f"seeds to detection: {caught_at}")
     assert ok, caught_at
 
