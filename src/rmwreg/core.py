@@ -175,6 +175,11 @@ def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
 
 
 class Mode(enum.Enum):
+    """The register a group offers. WRITE_ONCE is the SEQUENCE register
+    whose writes are set-if-empty: its value is the first decision, and a
+    writer hears DONE when its literal is that value, ALREADY_CHOSEN
+    otherwise. RMW adds exactly-once updates."""
+
     WRITE_ONCE = "write-once"
     SEQUENCE = "sequence"
     RMW = "rmw"

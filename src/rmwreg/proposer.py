@@ -5,6 +5,10 @@ request and acts as that request's sole learner. It is a logical
 single-threaded machine: callers feed it one message (or timer, or request
 admission) at a time and apply the returned effects.
 
+Every mode takes one path, the sequence register's: a write-once register
+is the sequence register whose writes are `SetIfEmpty` commands, so its
+value is the sequence's first decision.
+
 Effects are descriptions, not actions: `Send` messages, `Reply` to a
 client, `SetTimer` for a wakeup. They live in `rmwreg.messages`, beside the
 acceptor's `Send`s, and the transport (simulator or socket replica)
@@ -73,6 +77,18 @@ class FastToken:
     base_req: Optional[ReqID]
 
 
+@dataclass(frozen=True)
+class SetIfEmpty(UpdateCommand):
+    """A write-once write: its `literal` on the empty register, a no-op on
+    any other value. `_apply_commands` answers the no-op DONE when the
+    value it met is the literal, and ALREADY_CHOSEN otherwise."""
+
+    literal: Value
+
+    def apply(self, value: Value) -> Optional[Value]:
+        return self.literal if value.empty else None
+
+
 # (command, client, client_seq) of a client still owed an answer; a read's command is None
 Waiting = Tuple[Optional[UpdateCommand], object, int]
 
@@ -86,6 +102,11 @@ class Request:
     answered command is applied again. An instance is in phase 1 until it
     proposes (`proposal` set); an evicted request has nobody waiting.
 
+    `held` pairs a position in `waiting` with the NOOP or ERROR reply of a
+    command that met a value an earlier command of the batch made. The
+    reply goes out when the proposal is chosen; a new attempt applies the
+    command again. `held` outlives `_reset_instance` until the next apply.
+
     A read's `read_pool` holds its replies of every attempt, classified as
     they arrive; it is built on the read's first Ack. `voters` is built when
     an instance proposes, and only read while it has a `proposal`."""
@@ -95,7 +116,7 @@ class Request:
     kind: ReqKind
     waiting: List[Waiting]
     reqid: Optional[ReqID] = None
-    own_value: Optional[Value] = None  # write-once literal, fixed at admission
+    held: Optional[List[Tuple[int, Reply]]] = None
 
     instance: int = 0
     acks: Dict[ProcessId, Ack] = field(default_factory=dict)
@@ -153,7 +174,17 @@ class Proposer:
         client: object,
         client_seq: int,
     ) -> List[Effect]:
-        """Admit one client request. Writes carry an update command."""
+        """Admit one client request. Writes carry an update command; a
+        write-once write is admitted as `SetIfEmpty` of the literal it gives
+        on the empty register, or answered now if it gives none."""
+        if kind is ReqKind.WRITE and self.config.register_mode is Mode.WRITE_ONCE:
+            try:
+                literal = apply_command(cmd, EMPTY)
+            except CommandError as exc:
+                return [Reply(client, Status.ERROR, Value(str(exc).encode()), client_seq)]
+            if literal is None:
+                return [Reply(client, Status.NOOP, EMPTY, client_seq)]
+            cmd = SetIfEmpty(literal)
         entry = (cmd, client, client_seq)
         if self.config.batch_interval > 0:
             timer = [] if self.batched else [SetTimer(self.config.batch_interval, ("batch",))]
@@ -176,24 +207,11 @@ class Proposer:
         return req
 
     def _start(self, req: Request) -> List[Effect]:
-        effects: List[Effect] = []
         if req.kind is ReqKind.WRITE:
-            write_once = self.config.register_mode is Mode.WRITE_ONCE
-            if write_once:
-                # The first literal is proposed; a writer without one is
-                # answered now.
-                req.own_value, effects = self._apply_commands(req, EMPTY)
-                if req.own_value is None:
-                    self._evict(req)
-                    return effects
             token = self.fast.get(req.key)
             if token is not None:
-                # A write-once token proves a value is chosen; a second
-                # write can be answered without touching the network.
-                if write_once:
-                    return effects + self._finish_write_once(req, token.base)
-                return effects + self._fast_write(req, token)
-        return effects + self._broadcast_prepare(req)
+                return self._fast_write(req, token)
+        return self._broadcast_prepare(req)
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
         kind = ReqKind.WRITE if (req.kind is ReqKind.WRITE or req.escalated) else ReqKind.READ
@@ -211,12 +229,18 @@ class Proposer:
         return SetTimer(REQUEST_TIMEOUT_TICKS + jitter, ("req", req.rid, req.instance))
 
     def _fast_write(self, req: Request, token: FastToken) -> List[Effect]:
-        del self.fast[req.key]  # consumed; refreshed on success
-        self.stats.fast_writes += 1
-        # This instance starts without a phase-1 broadcast, so it has no
-        # timeout armed yet.
+        # A write-once token's base is chosen for good, so set-if-empty
+        # writes that propose nothing leave it valid. Any other base may
+        # have been overwritten by another proposer: the token is consumed,
+        # and refreshed on success.
+        set_if_empty = type(req.waiting[0][0]) is SetIfEmpty
         effects = self._propose_successor(req, token.round, token.base, token.base_req)
+        if req.waiting or not set_if_empty:
+            del self.fast[req.key]
+            self.stats.fast_writes += 1
         if req.waiting:  # not answered NOOP or ERROR and evicted
+            # This instance starts without a phase-1 broadcast, so it has no
+            # timeout armed yet.
             effects.append(self._arm_timer(req))
         return effects
 
@@ -291,9 +315,11 @@ class Proposer:
         another proposer's write-through, and the Learned notice proving it
         may be among the lost messages, so retrying could apply the command
         twice. Such requests are abandoned: the client never hears back and
-        must treat the outcome as unknown. Fast-write grants predate the
-        crash and are dropped as stale. The batch timer may have fired in
-        the crash window, so whatever is batched starts now."""
+        must treat the outcome as unknown. That holds for a held NOOP or
+        ERROR of the batch too, as the value it met may never be chosen.
+        Fast-write grants predate the crash and are dropped as stale. The
+        batch timer may have fired in the crash window, so whatever is
+        batched starts now."""
         self.fast.clear()
         if self.config.register_mode is Mode.RMW:
             for req in list(self.open_writes.values()):
@@ -381,8 +407,6 @@ class Proposer:
             settled = self._settled(req, base, base_req)
             if settled is not None:
                 return settled
-            if outcome.successor is None:
-                return self._retry_explicit(req)
             return self._propose_successor(req, outcome.successor, base, base_req)
         wt = outcome.write_through
         if wt is None or MUT_SKIP_WRITE_THROUGH in self.config.mutations:
@@ -397,62 +421,72 @@ class Proposer:
             return self._finish(req, Status.EMPTY, EMPTY)
         if req.learned:
             return self._finish(req, Status.DONE, EMPTY)
-        if self.config.register_mode is Mode.WRITE_ONCE:
-            return self._propose(req, round, req.own_value, req.reqid, None)
         return self._propose_successor(req, round, EMPTY, None)
 
     def _settled(
         self, req: Request, chosen: Value, chosen_req: Optional[ReqID]
     ) -> Optional[List[Effect]]:
         """Finish `req` when the chosen value already answers it: an
-        escalated read, a write-once register, or an RMW write whose command
-        is in it. None: the request still has a command to propose."""
+        escalated read, or an RMW write whose command is in it. None: the
+        request still has commands to apply."""
         if req.escalated:
             return self._finish(req, Status.DONE, chosen)
-        if self.config.register_mode is Mode.WRITE_ONCE:
-            return self._finish_write_once(req, chosen)
         if req.reqid is not None and (chosen_req == req.reqid or req.learned):
             return self._finish(req, Status.DONE, chosen)
         return None
 
     def _propose_successor(
-        self, req: Request, round: Round, base: Value, base_req: Optional[ReqID]
+        self, req: Request, round: Optional[Round], base: Value, base_req: Optional[ReqID]
     ) -> List[Effect]:
+        """Apply the waiting commands to `base` and propose the result in
+        `round`. With `round` None (`base` is chosen, but the quorum holds no
+        common promise for the next round) the answers on `base` go out and
+        the rest retry in an explicit round."""
         value, replies = self._apply_commands(req, base)
         if value is None:
             # Every command reduced to a no-op; phase 2 is unnecessary.
             self._evict(req)
             return replies
+        if round is None:
+            return replies + self._retry_explicit(req)
         return replies + self._propose(req, round, value, req.reqid, base_req)
 
     def _apply_commands(self, req: Request, base: Value):
         """Apply the waiting commands in admission order, each to the value
-        the one before left; in write-once mode each to `base`, and the
-        value is the first one's literal. A command without effect is
-        answered NOOP and one that fails ERROR, against the value it met,
-        and its entry leaves `waiting`. Returns the value to propose (None
-        when no command changed anything) and those replies."""
-        chain = self.config.register_mode is not Mode.WRITE_ONCE
+        the one before left. A command without effect is answered NOOP (a
+        `SetIfEmpty` DONE when it met its own literal, else ALREADY_CHOSEN)
+        and one that fails ERROR, against the value it met. An answer on
+        `base` is returned and its entry leaves `waiting`; one on a value of
+        this batch stays in `waiting` and goes to `held` until the proposal
+        is chosen. Returns the value to propose (None when no command
+        changed anything) and the answers on `base`."""
         current = base
         value = None
         replies: List[Effect] = []
         kept: List[Waiting] = []
+        held = []
         for entry in req.waiting:
             cmd, client, seq = entry
             try:
                 result = apply_command(cmd, current)
             except CommandError as exc:
-                replies.append(Reply(client, Status.ERROR, Value(str(exc).encode()), seq))
-                continue
-            if result is None:
-                replies.append(Reply(client, Status.NOOP, current, seq))
-                continue
-            kept.append(entry)
-            if chain:
-                current = value = result
-            elif value is None:
-                value = result
+                reply = Reply(client, Status.ERROR, Value(str(exc).encode()), seq)
+            else:
+                if result is not None:
+                    kept.append(entry)
+                    current = value = result
+                    continue
+                status = Status.NOOP
+                if type(cmd) is SetIfEmpty:
+                    status = Status.DONE if cmd.literal == current else Status.ALREADY_CHOSEN
+                reply = Reply(client, status, current, seq)
+            if value is None:
+                replies.append(reply)
+            else:
+                held.append((len(kept), reply))
+                kept.append(entry)
         req.waiting = kept
+        req.held = held
         return value, replies
 
     def _propose(
@@ -509,20 +543,13 @@ class Proposer:
         req.proposal = None
         req.top_n = 0
 
-    def _finish_write_once(self, req: Request, chosen: Value) -> List[Effect]:
-        """DONE to each writer whose own literal was chosen, ALREADY_CHOSEN
-        to the rest."""
-        effects = [
-            Reply(client, Status.DONE if apply_command(cmd, EMPTY) == chosen
-                  else Status.ALREADY_CHOSEN, chosen, seq)
-            for cmd, client, seq in req.waiting
-        ]
-        self._evict(req)
-        return effects
-
     def _finish(self, req: Request, status: Status, value: Value) -> List[Effect]:
-        """Answer every client still waiting on `req`, and retire it."""
+        """Answer every client still waiting on `req`, each with its held
+        reply if it has one, and retire it."""
         effects = [Reply(client, status, value, seq) for _, client, seq in req.waiting]
+        if req.held:
+            for i, reply in req.held:
+                effects[i] = reply
         self._evict(req)
         return effects
 

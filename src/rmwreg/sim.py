@@ -270,7 +270,7 @@ class World:
         """Hand one request to `client`'s proposer and schedule its effects.
 
         Traces the op's invoke and adds it to the key's history; a write-once
-        write's invoke carries the literal the proposer proposes for it. The
+        write's invoke carries the literal of its set-if-empty command. The
         op stays open in `ops_meta` until its reply closes it. A crashed
         proposer admits nothing: the op is recorded but never opened.
         """

@@ -106,16 +106,41 @@ def test_noop_command_answered_without_protocol():
 
 
 def test_write_once_already_chosen():
-    cfg = Config(n_acceptors=3, register_mode=Mode.WRITE_ONCE)
-    net = Loopback(cfg)
-    net.submit(b"k", ReqKind.WRITE, SetCmd("first"), seq=0)
-    assert net.replies[-1].status is Status.DONE
-    net.submit(b"k", ReqKind.WRITE, SetCmd("second"), seq=1)
-    assert net.replies[-1].status is Status.ALREADY_CHOSEN
-    assert net.replies[-1].value == Value(b'"first"')
-    # same literal as the chosen one reports DONE
-    net.submit(b"k", ReqKind.WRITE, SetCmd("first"), seq=2)
-    assert net.replies[-1].status is Status.DONE
+    """The first write is chosen in 12 messages and leaves a fast-write
+    token. Each later write is a no-op on the token's chosen base: it is
+    answered without a message, DONE on the same literal, and keeps the
+    token."""
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.WRITE_ONCE))
+    sent = []
+    for seq, literal in enumerate(["first", "second", "first", "third"]):
+        before = len(net.sent)
+        net.submit(b"k", ReqKind.WRITE, SetCmd(literal), seq=seq)
+        sent.append(len(net.sent) - before)
+    assert sent == [12, 0, 0, 0]
+    assert [r.status for r in net.replies] == [
+        Status.DONE, Status.ALREADY_CHOSEN, Status.DONE, Status.ALREADY_CHOSEN]
+    assert {r.value for r in net.replies} == {Value(b'"first"')}
+    assert net.proposer.stats.fast_writes == 0
+
+
+def test_rmw_fast_write_that_proposes_nothing_uses_up_its_token():
+    """An RMW token's base may be stale: here another proposer sets 7 after
+    the token was granted on 0. A cas(7 -> 8) is a no-op on the token's 0,
+    sends nothing and uses the token up, so the same cas again runs phase 1,
+    meets 7 and is chosen."""
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW))
+    net.submit(b"k", ReqKind.WRITE, SetCmd(0), seq=0)
+    for a in net.acceptors.values():
+        a.handle(PaxosPrep(b"k", 2000, Round(9, 2000), Ticket(0, 0)))
+        a.handle(Vote(b"k", 2000, Round(9, 2000), Value(b"7"), None, None, Ticket(0, 0)))
+    before = len(net.sent)
+    net.submit(b"k", ReqKind.WRITE, CasCmd(7, 8), seq=1)
+    assert len(net.sent) == before and b"k" not in net.proposer.fast
+    assert net.proposer.stats.fast_writes == 1
+    net.submit(b"k", ReqKind.WRITE, CasCmd(7, 8), seq=2)
+    assert any(isinstance(s.msg, Prepare) for s in net.sent[before:])
+    assert net.replies[-1].status is Status.DONE and net.replies[-1].value == Value(b"8")
+    assert {a.cell(b"k").val for a in net.acceptors.values()} == {Value(b"8")}
 
 
 def test_write_once_noop_guard():
@@ -504,8 +529,37 @@ def test_batched_command_answered_noop_is_never_applied():
     assert {a.cell(b"k").val for a in net.acceptors.values()} == {Value(b"8")}
 
 
+def test_batched_noop_is_answered_on_a_value_the_register_held():
+    """A batch of [A: add(1), B: cas(0 -> 5)] on 0 proposes 1, and B's cas
+    meets 1, which nothing has chosen. Another proposer sets 7 before the
+    batch's votes land, and the batch retries on 7: the register goes
+    0 -> 7 -> 8 and never holds 1, so B hears NOOP with 8, once A's value
+    is chosen."""
+    net = Loopback(Config(n_acceptors=3, register_mode=Mode.RMW, batch_interval=5))
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, SetCmd(0), 0, 0))
+    net.fire_timers()
+    net.timers.clear()  # the request timer of the finished write
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, AddCmd(1), 1, 0))
+    net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, CasCmd(0, 5), 2, 0))
+    (batch,) = net.timers
+    net.timers.clear()
+    net._absorb(net.proposer.on_timer(batch.token))  # a fast write on 0; votes held
+    assert len(net.replies) == 1
+    for a in net.acceptors.values():
+        a.handle(PaxosPrep(b"k", 2000, Round(9, 2000), Ticket(0, 0)))
+        a.handle(Vote(b"k", 2000, Round(9, 2000), Value(b"7"), None, None, Ticket(0, 0)))
+    net.pump()  # the held votes are nacked
+    for _ in range(5):
+        if len(net.replies) > 1:
+            break
+        net.fire_timers()
+    assert [(r.client, r.status, r.value) for r in net.replies[1:]] == [
+        (1, Status.DONE, Value(b"8")), (2, Status.NOOP, Value(b"8"))]
+    assert {a.cell(b"k").val for a in net.acceptors.values()} == {Value(b"8")}
+
+
 class Cluster:
-    """Three RMW acceptors and two batching proposers on reliable FIFO links.
+    """Three acceptors and two batching proposers on reliable FIFO links.
     Each message waits in its (src, dst) link; `rng` picks the link that
     delivers next, and now and then a pending timer instead, any timer
     once no message is in flight. A message is lost with probability
@@ -513,8 +567,8 @@ class Cluster:
 
     PROPOSERS = (1000, 1001)
 
-    def __init__(self, rng, loss):
-        config = Config(n_acceptors=3, register_mode=Mode.RMW, batch_interval=5)
+    def __init__(self, rng, loss, mode=Mode.RMW):
+        config = Config(n_acceptors=3, register_mode=mode, batch_interval=5)
         self.acceptors = {i: Acceptor(i, config) for i in range(3)}
         self.proposers = {pid: Proposer(pid, config, random.Random(pid))
                           for pid in self.PROPOSERS}
@@ -552,12 +606,12 @@ class Cluster:
             return False
         return True
 
-    def chosen(self) -> list:
-        """The newest value a quorum of acceptors voted, as a list."""
+    def chosen(self) -> Value:
+        """The newest value a quorum of acceptors voted, EMPTY if none."""
         acks = [a.handle(Prepare(b"k", 0, ReqKind.READ, Ticket(0, 0)))[0].msg
                 for a in self.acceptors.values()]
         found = find_chosen_in_pool(acks, quorum_size(3))
-        return [] if found is None else from_payload(found[0])
+        return EMPTY if found is None else found[0]
 
 
 def guarded_append(token, salt):
@@ -576,36 +630,76 @@ def guarded_append(token, salt):
     return FnCommand(apply, token)
 
 
-@given(
-    commands=st.lists(st.tuples(st.sampled_from(Cluster.PROPOSERS), st.integers(0, 3)),
-                      min_size=1, max_size=6),
-    seed=st.integers(0, 2**32 - 1),
-    loss=st.sampled_from([0.0, 0.1]),
-)
-def test_batched_clients_are_answered_once_and_applied_as_answered(commands, seed, loss):
-    """Any batches on two proposers, in any delivery order: each client is
-    answered at most once, and exactly once when no message is lost. Then
-    a command answered NOOP or ERROR left no trace in the final value, and
-    one answered DONE appears in it exactly once."""
+def run_batches(commands, seed, loss, mode, token):
+    """Submit `commands`, (proposer, salt) pairs, as `guarded_append`s of
+    `token(i, salt)` with client `i % 3` and client seq `i`, interleaved at
+    random with the cluster's deliveries until nothing is pending. Checks
+    that each client is answered at most once, and exactly once when no
+    message is lost; returns the cluster."""
     rng = random.Random(seed)
-    net = Cluster(rng, loss)
+    net = Cluster(rng, loss, mode)
     pending = list(enumerate(commands))
     for _ in range(5000):
         if pending and rng.random() < 0.3:
             i, (pid, salt) = pending.pop(0)
-            cmd = guarded_append(f"t{i}", salt)
+            cmd = guarded_append(token(i, salt), salt)
             net.absorb(pid, net.proposers[pid].submit(b"k", ReqKind.WRITE, cmd, i % 3, i))
         elif not net.step() and not pending:
             break
     answered = [(r.client, r.client_seq) for r in net.replies]
     assert len(answered) == len(set(answered))
+    if not loss:
+        assert sorted(seq for _, seq in answered) == list(range(len(commands)))
+    return net
+
+
+batches = st.lists(st.tuples(st.sampled_from(Cluster.PROPOSERS), st.integers(0, 3)),
+                   min_size=1, max_size=6)
+
+
+@given(commands=batches, seed=st.integers(0, 2**32 - 1), loss=st.sampled_from([0.0, 0.1]))
+def test_batched_clients_are_answered_once_and_applied_as_answered(commands, seed, loss):
+    """Any RMW batches on two proposers, in any delivery order: each client
+    is answered at most once, and exactly once when no message is lost.
+    Then a command answered NOOP or ERROR left no trace in the final value,
+    and one answered DONE appears in it exactly once; a NOOP's value, the
+    one its command met, is a prefix of the final value."""
+    net = run_batches(commands, seed, loss, Mode.RMW, lambda i, salt: f"t{i}")
     if loss:
         return
-    assert sorted(seq for _, seq in answered) == list(range(len(commands)))
     final = net.chosen()
+    items = from_payload(final) or []
     for r in net.replies:
-        token = f"t{r.client_seq}"
-        assert final.count(token) == (1 if r.status is Status.DONE else 0), (r, final)
+        count = items.count(f"t{r.client_seq}")
+        assert count == (1 if r.status is Status.DONE else 0), (r, final)
+        if r.status is Status.NOOP:  # met a value the register held: a prefix
+            met = from_payload(r.value) or []
+            assert items[:len(met)] == met, (r, final)
+
+
+@given(commands=batches, seed=st.integers(0, 2**32 - 1), loss=st.sampled_from([0.0, 0.1]))
+def test_batched_write_once_writers_hear_the_chosen_literal(commands, seed, loss):
+    """The write-once case of the property above. A writer's literal is one
+    of two shared ones, or none, or its command fails. Each client is
+    answered at most once, and when no message is lost exactly once: one
+    literal is chosen if any was written, and each writer of a literal hears
+    DONE exactly when its literal is the chosen one, ALREADY_CHOSEN
+    otherwise, with the chosen value."""
+    net = run_batches(commands, seed, loss, Mode.WRITE_ONCE, lambda i, salt: f"t{salt}")
+    if loss:
+        return
+    final = net.chosen()
+    # On the empty register salt 0 is a no-op and salt 1 fails; 2 and 3 are literals.
+    literals = {to_payload([f"t{salt}"]) for _, salt in commands if salt >= 2}
+    assert final in (literals or {EMPTY})
+    for r in net.replies:
+        salt = commands[r.client_seq][1]
+        if salt < 2:
+            assert r.status is (Status.NOOP if salt == 0 else Status.ERROR), r
+            continue
+        own = to_payload([f"t{salt}"]) == final
+        assert (r.status, r.value) == (
+            Status.DONE if own else Status.ALREADY_CHOSEN, final), (r, final)
 
 
 def test_exactly_once_dedup_via_learned():
