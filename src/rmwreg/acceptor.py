@@ -49,6 +49,10 @@ class AcceptorState:
 
 INITIAL_STATE = AcceptorState()
 
+# Builds a `Round` from the tuple of its fields without the namedtuple's
+# Python `__new__` (see `rmwreg.core`).
+_tuple_new = tuple.__new__
+
 
 class Acceptor:
     def __init__(self, pid: ProcessId, config: Config):
@@ -82,18 +86,18 @@ class Acceptor:
         return handler(self, msg) if handler is not None else []
 
     def handle_prepare(self, msg: Prepare) -> List[Send]:
-        state = self.cell(msg.key)
-        if msg.kind is ReqKind.WRITE:
-            state = AcceptorState(
-                Round(state.r_ack.n + 1, msg.src), state.val, state.r_voted, state.req
-            )
-            self.cells[msg.key] = state
-            incremented = True
-        else:
+        key = msg.key
+        state = self.cells.get(key, INITIAL_STATE)
+        if msg.kind is ReqKind.READ:
             # Reads leave the cell untouched so they cannot interfere with
             # concurrent requests.
-            incremented = False
-        return [Send(msg.src, self._ack(msg.key, msg.ticket, state, incremented))]
+            return [Send(msg.src, Ack(key, self.pid, msg.ticket, state.r_ack, state.val,
+                                      state.r_voted, state.req, False))]
+        state = AcceptorState(
+            _tuple_new(Round, (state.r_ack.n + 1, msg.src)), state.val, state.r_voted, state.req
+        )
+        self.cells[key] = state
+        return [Send(msg.src, self._ack(key, msg.ticket, state, True))]
 
     # The two handlers below test `core.round_compare`'s LESS and EQUAL
     # directly on the fields: LESS is `n <`, EQUAL is equality of the
@@ -123,7 +127,9 @@ class Acceptor:
 
         # Behave as if a Prepare from the same proposer arrived right after
         # voting, so it may skip phase 1 next time.
-        self.cells[key] = AcceptorState(Round(rnd.n + 1, rnd.id), msg.value, rnd, msg.req_cur)
+        self.cells[key] = AcceptorState(
+            _tuple_new(Round, (rnd.n + 1, rnd.id)), msg.value, rnd, msg.req_cur
+        )
         out = [Send(msg.src, Voted(key, self.pid, msg.ticket, rnd, msg.value))]
         if msg.req_prev is not None:
             out.append(Send(msg.req_prev.pid, Learned(key, self.pid, msg.req_prev)))

@@ -11,6 +11,12 @@ as the plain tuple of its fields. `FrozenTuple`, first among their bases,
 makes assigning a field raise `FrozenInstanceError`, and `<` and the other
 orderings raise `TypeError`, as for a frozen dataclass. Nothing calls the
 namedtuple's `_make` or `_replace`, which would skip `Value`'s check.
+The per-message paths build a `Round` or `Ticket` with
+`tuple.__new__(cls, fields)`, where `fields` is the tuple of both fields:
+the proposer's tickets and retry and next rounds, and the acceptor's
+promised rounds. That is what the namedtuple's generated `__new__` does,
+minus its Python frame; neither type defines a `__new__` of its own, so no
+check is skipped. `Value`, which has one, is always called.
 Equality is the tuple's, so a `Round(3, 7)` equals a `ReqID(3, 7)` and the
 plain tuple `(3, 7)`. No dict or set may therefore mix these types, or them
 and plain tuples, as keys.
@@ -165,7 +171,9 @@ def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
 
     n == 1 still draws, as `randrange(1)` does; skipping that draw would
     shift every later one. `World.step` does skip it: a one-entry bucket is
-    picked without calling this. n < 1 would loop forever.
+    picked without calling this. n < 1 would loop forever. The hottest
+    draws repeat this loop inline: `World`'s picks and delays, and the
+    proposer's request-timer jitter (`Proposer._arm_timer`).
     """
     k = n.bit_length()
     r = getrandbits(k)

@@ -59,6 +59,14 @@ from .quorum import ReadPool, ValueChosen, classify, quorum_size
 from .quorum import find_chosen_in_pool, find_empty_in_pool  # noqa: F401
 
 REQUEST_TIMEOUT_TICKS = 60
+# The request timer's jitter is randint(0, REQUEST_TIMEOUT_TICKS // 2): a
+# `core.randbelow` of this span, drawn inline in `_arm_timer`.
+_JITTER_SPAN = REQUEST_TIMEOUT_TICKS // 2 + 1
+_JITTER_BITS = _JITTER_SPAN.bit_length()
+
+# Builds a `Ticket` or `Round` from the tuple of its fields without the
+# namedtuple's Python `__new__` (see `rmwreg.core`).
+_tuple_new = tuple.__new__
 
 
 # Like the messages and effects, `FastToken` is a slotted record built on
@@ -157,13 +165,6 @@ class Proposer:
         self.stats = ProposerStats()
         self.quorum = 1 if MUT_SUB_QUORUM in config.mutations else quorum_size(config.n_acceptors)
 
-    # -- configuration helpers ----------------------------------------------
-
-    def _acceptors(self) -> range:
-        # Acceptors are addressed 0..N-1 by convention; the transport maps
-        # pids to endpoints.
-        return range(self.config.n_acceptors)
-
     # -- admission ------------------------------------------------------------
 
     def submit(
@@ -215,17 +216,23 @@ class Proposer:
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
         kind = ReqKind.WRITE if (req.kind is ReqKind.WRITE or req.escalated) else ReqKind.READ
-        return self._broadcast(req, Prepare(req.key, self.pid, kind, Ticket(req.rid, req.instance)))
+        ticket = _tuple_new(Ticket, (req.rid, req.instance))
+        return self._broadcast(req, Prepare(req.key, self.pid, kind, ticket))
 
     def _broadcast(self, req: Request, msg) -> List[Effect]:
-        """Send a phase-1 message to every acceptor and arm `req`'s timer."""
-        effects: List[Effect] = [Send(a, msg) for a in self._acceptors()]
+        """Send a phase-1 message to every acceptor and arm `req`'s timer.
+        Acceptors are addressed 0..N-1; the transport maps pids to endpoints."""
+        effects: List[Effect] = []
+        for a in range(self.config.n_acceptors):
+            effects.append(Send(a, msg))
         effects.append(self._arm_timer(req))
         return effects
 
     def _arm_timer(self, req: Request) -> SetTimer:
-        # randint(0, REQUEST_TIMEOUT_TICKS // 2), drawn without its wrappers
-        jitter = randbelow(self.rng.getrandbits, REQUEST_TIMEOUT_TICKS // 2 + 1)
+        getrandbits = self.rng.getrandbits  # randbelow(getrandbits, _JITTER_SPAN), inline
+        jitter = getrandbits(_JITTER_BITS)
+        while jitter >= _JITTER_SPAN:
+            jitter = getrandbits(_JITTER_BITS)
         return SetTimer(REQUEST_TIMEOUT_TICKS + jitter, ("req", req.rid, req.instance))
 
     def _fast_write(self, req: Request, token: FastToken) -> List[Effect]:
@@ -261,12 +268,12 @@ class Proposer:
                 pool = req.read_pool = ReadPool(self.quorum)
             pool.add(ack)
             if not current:
-                return self._evaluate_read_pool(req)
+                return self._evaluate_read(req, False)
             if not req.escalated:
                 # No `top_n`: nothing nacks a round-less attempt, and
                 # `_reset_instance` zeroes it before the read escalates.
                 req.acks[ack.src] = ack
-                return self._evaluate_read(req)
+                return self._evaluate_read(req, True)
         elif not current:
             return []
         req.acks[ack.src] = ack
@@ -343,7 +350,8 @@ class Proposer:
         req = self.requests[token[1]]
         if token[0] == "retry":
             # Backoff expired; run the deferred explicit-round phase 1.
-            prep = PaxosPrep(req.key, self.pid, token[3], Ticket(req.rid, req.instance))
+            ticket = _tuple_new(Ticket, (req.rid, req.instance))
+            prep = PaxosPrep(req.key, self.pid, token[3], ticket)
             return self._broadcast(req, prep)
         if req.kind is ReqKind.READ and not req.escalated and len(req.acks) >= self.quorum:
             # A quorum answered without agreeing and the rest stayed silent:
@@ -356,24 +364,19 @@ class Proposer:
 
     # -- read path --------------------------------------------------------------
 
-    def _evaluate_read_pool(self, req: Request) -> List[Effect]:
+    def _evaluate_read(self, req: Request, current: bool) -> List[Effect]:
+        """Finish the read once its pool holds a consistent quorum. A quorum
+        that disagrees is not enough to give up on the attempt: the rest of
+        its replies are usually in flight and complete a consistent quorum.
+        So the read waits for every acceptor's reply to the `current`
+        attempt, bounded by the request timer (`on_timer`), before it
+        retries; a reply to an earlier attempt only adds to the pool."""
         pool = req.read_pool
         if pool.chosen is not None:
             return self._finish(req, Status.DONE, pool.chosen[0])
         if pool.empty:
             return self._finish(req, Status.EMPTY, EMPTY)
-        return []
-
-    def _evaluate_read(self, req: Request) -> List[Effect]:
-        """Finish the read once its pool holds a consistent quorum. A quorum
-        that disagrees is not enough to give up on the attempt: the rest of
-        its replies are usually in flight and complete a consistent quorum.
-        So the read waits for every acceptor's reply to the attempt, bounded
-        by the request timer (`on_timer`), before it retries."""
-        effects = self._evaluate_read_pool(req)
-        if effects or not req.waiting:
-            return effects
-        if len(req.acks) < self.config.n_acceptors:
+        if not current or len(req.acks) < self.config.n_acceptors:
             return []
         return self._read_retry(req)
 
@@ -501,9 +504,9 @@ class Proposer:
         req.proposed = True
         req.voters = set()
         req.writethrough = writethrough
-        ticket = Ticket(req.rid, req.instance)
+        ticket = _tuple_new(Ticket, (req.rid, req.instance))
         vote = req.proposal = Vote(req.key, self.pid, round, value, req_cur, req_prev, ticket)
-        return [Send(a, vote) for a in self._acceptors()]
+        return [Send(a, vote) for a in range(self.config.n_acceptors)]
 
     def _proposal_chosen(self, req: Request) -> List[Effect]:
         prop = req.proposal
@@ -512,7 +515,7 @@ class Proposer:
         # proposer (`Acceptor.handle_vote`).
         next_round = prop.round
         if MUT_REUSE_ROUND not in self.config.mutations:
-            next_round = Round(next_round.n + 1, next_round.id)
+            next_round = _tuple_new(Round, (next_round.n + 1, next_round.id))
         token = self.fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
         settled = self._settled(req, chosen, prop.req_cur)
         if settled is not None:
@@ -527,7 +530,7 @@ class Proposer:
         # The next round tops every round this instance saw or proposed in;
         # it waits out the backoff in the retry timer's token.
         top_n = req.top_n if req.proposal is None else max(req.top_n, req.proposal.round.n)
-        next_round = Round(top_n + 1, self.pid)
+        next_round = _tuple_new(Round, (top_n + 1, self.pid))
         self._reset_instance(req)
         # Retrying immediately lets duelling proposers invalidate each other
         # forever; a randomized, growing pause lets one of them finish.
@@ -546,10 +549,17 @@ class Proposer:
     def _finish(self, req: Request, status: Status, value: Value) -> List[Effect]:
         """Answer every client still waiting on `req`, each with its held
         reply if it has one, and retire it."""
-        effects = [Reply(client, status, value, seq) for _, client, seq in req.waiting]
-        if req.held:
-            for i, reply in req.held:
-                effects[i] = reply
+        waiting = req.waiting
+        if len(waiting) == 1:
+            # A held reply follows a command that changed the value, so a
+            # lone client has none.
+            _, client, seq = waiting[0]
+            effects = [Reply(client, status, value, seq)]
+        else:
+            effects = [Reply(client, status, value, seq) for _, client, seq in waiting]
+            if req.held:
+                for i, reply in req.held:
+                    effects[i] = reply
         self._evict(req)
         return effects
 

@@ -283,7 +283,10 @@ class World:
                 pass
         self.trace.append(ClientInvokeEv(self.tick, client, op_index, key, kind, token))
         invoke = HistoryEvent("invoke", client, op_index, kind, key, token, value, None, self.tick)
-        self.histories.setdefault(key, []).append(invoke)
+        history = self.histories.get(key)
+        if history is None:
+            history = self.histories[key] = []
+        history.append(invoke)
         pid = cs.script.proposer
         if pid in self.down:
             return
@@ -345,6 +348,8 @@ class World:
                 if proposer is None:
                     return True  # messages to unknown pids are silently discarded
                 effects = proposer.on_message(msg)
+                if not effects:  # a late reply, or one short of a quorum
+                    return True
             self._apply_effects(dst, effects, entry.depth)
             return True
         kind = entry[0]
@@ -352,7 +357,8 @@ class World:
             _, pid, token = entry
             if pid not in self.down:
                 effects = self.proposers[pid].on_timer(token)
-                self._apply_effects(pid, effects, depth=0)
+                if effects:  # most request timers find their attempt over
+                    self._apply_effects(pid, effects, depth=0)
         elif kind == "invoke":
             self._invoke(entry[1])
         elif kind == "crash":

@@ -241,3 +241,19 @@ def test_promise_and_vote_checks_match_round_compare(cell, rnd, req_cur, req_pre
         msg = PaxosPrep(KEY, src, rnd, T)
         expected = reference_prepare_explicit(a.pid, before, msg)
     assert (a.handle(msg), a.cell(KEY)) == expected
+
+
+@given(cells, st.integers(min_value=1000, max_value=1003),
+       st.builds(Ticket, st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)))
+def test_read_prepare_answers_from_the_cell_and_keeps_it(cell, src, ticket):
+    """Any READ `Prepare` on any cell gets one `Ack` of the cell's fields,
+    not incremented, and leaves `cells` holding the same cell object; a key
+    never touched stays absent."""
+    a = make()
+    if cell is not None:
+        a.cells[KEY] = cell
+    state = a.cell(KEY)
+    out = a.handle(Prepare(KEY, src, ReqKind.READ, ticket))
+    assert out == [Send(src, Ack(KEY, a.pid, ticket, state.r_ack, state.val, state.r_voted,
+                                 state.req, False))]
+    assert a.cells.get(KEY) is cell

@@ -138,6 +138,18 @@ def test_value_types_hash_compare_and_print_as_frozen_records(value, fields, tex
     assert copy.deepcopy(value) == value and type(copy.deepcopy(value)) is cls
 
 
+def test_round_and_ticket_have_no_constructor_check_to_skip():
+    """The proposer and acceptor build `Round` and `Ticket` with
+    `tuple.__new__` on the tuple of their fields. That skips only the
+    namedtuple's `__new__`, which checks nothing and builds the same record;
+    a `__new__` of their own, like `Value`'s check, would be skipped too."""
+    for cls in (Round, Ticket):
+        assert "__new__" not in vars(cls)
+        built = tuple.__new__(cls, (3, 7))
+        assert type(built) is cls and built == cls(3, 7) and repr(built) == repr(cls(3, 7))
+    assert "__new__" in vars(Value)
+
+
 def test_value_rejects_a_payload_when_empty():
     with pytest.raises(ValueError):
         Value(b"x", True)

@@ -4,7 +4,7 @@ messages exist."""
 import random
 from collections import deque
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rmwreg.acceptor import Acceptor, AcceptorState
 from rmwreg.core import EMPTY, CommandError, Config, FnCommand, Mode, Round, Value
@@ -630,20 +630,32 @@ def guarded_append(token, salt):
     return FnCommand(apply, token)
 
 
-def run_batches(commands, seed, loss, mode, token):
+def run_batches(commands, seed, loss, mode, token, upfront=False):
     """Submit `commands`, (proposer, salt) pairs, as `guarded_append`s of
     `token(i, salt)` with client `i % 3` and client seq `i`, interleaved at
-    random with the cluster's deliveries until nothing is pending. Checks
-    that each client is answered at most once, and exactly once when no
-    message is lost; returns the cluster."""
+    random with the cluster's deliveries until nothing is pending. With
+    `upfront`, every command is submitted and both proposers' batch timers
+    fire before anything is delivered, so their batches contend for the
+    first decision. Checks that each client is answered at most once, and
+    exactly once when no message is lost; returns the cluster."""
     rng = random.Random(seed)
     net = Cluster(rng, loss, mode)
     pending = list(enumerate(commands))
+
+    def submit():
+        i, (pid, salt) = pending.pop(0)
+        cmd = guarded_append(token(i, salt), salt)
+        net.absorb(pid, net.proposers[pid].submit(b"k", ReqKind.WRITE, cmd, i % 3, i))
+
+    if upfront:
+        while pending:
+            submit()
+        batch_timers, net.timers = net.timers, []
+        for pid, timer in batch_timers:
+            net.absorb(pid, net.proposers[pid].on_timer(timer))
     for _ in range(5000):
         if pending and rng.random() < 0.3:
-            i, (pid, salt) = pending.pop(0)
-            cmd = guarded_append(token(i, salt), salt)
-            net.absorb(pid, net.proposers[pid].submit(b"k", ReqKind.WRITE, cmd, i % 3, i))
+            submit()
         elif not net.step() and not pending:
             break
     answered = [(r.client, r.client_seq) for r in net.replies]
@@ -657,14 +669,21 @@ batches = st.lists(st.tuples(st.sampled_from(Cluster.PROPOSERS), st.integers(0, 
                    min_size=1, max_size=6)
 
 
-@given(commands=batches, seed=st.integers(0, 2**32 - 1), loss=st.sampled_from([0.0, 0.1]))
-def test_batched_clients_are_answered_once_and_applied_as_answered(commands, seed, loss):
+@given(commands=batches, seed=st.integers(0, 2**32 - 1), loss=st.sampled_from([0.0, 0.1]),
+       upfront=st.booleans())
+# 1000's batch appends t0, on which t1 is a no-op, and loses the first
+# decision to 1001's t2: t1's NOOP must wait for a value that is chosen.
+@example(commands=[(1000, 2), (1000, 3), (1001, 2)], seed=1, loss=0.0, upfront=True)
+def test_batched_clients_are_answered_once_and_applied_as_answered(commands, seed, loss,
+                                                                   upfront):
     """Any RMW batches on two proposers, in any delivery order: each client
     is answered at most once, and exactly once when no message is lost.
     Then a command answered NOOP or ERROR left no trace in the final value,
     and one answered DONE appears in it exactly once; a NOOP's value, the
-    one its command met, is a prefix of the final value."""
-    net = run_batches(commands, seed, loss, Mode.RMW, lambda i, salt: f"t{i}")
+    one its command met, is a prefix of the final value. Batches started
+    `upfront` contend: a batch that loses the first decision applies its
+    commands again on the winner's value."""
+    net = run_batches(commands, seed, loss, Mode.RMW, lambda i, salt: f"t{i}", upfront)
     if loss:
         return
     final = net.chosen()
