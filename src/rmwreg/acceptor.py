@@ -53,6 +53,11 @@ INITIAL_STATE = AcceptorState()
 # Python `__new__` (see `rmwreg.core`).
 _tuple_new = tuple.__new__
 
+# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
+# lookup in a function takes the enum metaclass's slow `__getattr__` hook
+# (see `rmwreg.messages`).
+_READ = ReqKind.READ
+
 
 class Acceptor:
     def __init__(self, pid: ProcessId, config: Config):
@@ -88,7 +93,7 @@ class Acceptor:
     def handle_prepare(self, msg: Prepare) -> List[Send]:
         key = msg.key
         state = self.cells.get(key, INITIAL_STATE)
-        if msg.kind is ReqKind.READ:
+        if msg.kind is _READ:
             # Reads leave the cell untouched so they cannot interfere with
             # concurrent requests.
             return [Send(msg.src, Ack(key, self.pid, msg.ticket, state.r_ack, state.val,

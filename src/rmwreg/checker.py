@@ -33,6 +33,15 @@ from .trace import ClientResponseEv, SendEv, StateSnapshotEv
 
 MAX_LINEARIZE_OPS = 12
 
+# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
+# lookup in a function takes the enum metaclass's slow `__getattr__` hook
+# (see `rmwreg.messages`).
+_READ = ReqKind.READ
+_WRITE = ReqKind.WRITE
+_DONE = Status.DONE
+_STATUS_EMPTY = Status.EMPTY
+_ALREADY_CHOSEN = Status.ALREADY_CHOSEN
+
 
 @dataclass(slots=True)
 class HistoryEvent:
@@ -112,16 +121,16 @@ def check_write_once(history: Sequence[HistoryEvent]) -> Verdict:
     verdict = Verdict()
     ops = _ops_of(history)
 
-    proposed = {op.arg for op in ops if op.kind is ReqKind.WRITE and op.arg is not None}
+    proposed = {op.arg for op in ops if op.kind is _WRITE and op.arg is not None}
     learned: List[Tuple[int, Value]] = []  # (history position, value)
     for op in ops:
         if op.resp is None:
             continue
-        if op.status is Status.DONE and op.kind is ReqKind.READ:
+        if op.status is _DONE and op.kind is _READ:
             learned.append((op.resp, op.result))
-        elif op.status is Status.DONE and op.kind is ReqKind.WRITE:
+        elif op.status is _DONE and op.kind is _WRITE:
             learned.append((op.resp, op.arg))
-        elif op.status is Status.ALREADY_CHOSEN:
+        elif op.status is _ALREADY_CHOSEN:
             learned.append((op.resp, op.result))
 
     for _, v in learned:
@@ -136,8 +145,8 @@ def check_write_once(history: Sequence[HistoryEvent]) -> Verdict:
         first_learn = min(pos for pos, _ in learned)
         for op in ops:
             if (
-                op.kind is ReqKind.READ
-                and op.status is Status.EMPTY
+                op.kind is _READ
+                and op.status is _STATUS_EMPTY
                 and op.inv > first_learn
             ):
                 verdict.flag(
@@ -167,13 +176,13 @@ def _linearizable_write_once(ops: List[_Op]) -> bool:
     seen = set()
 
     def expected(op: _Op, state: Optional[Value]):
-        if op.kind is ReqKind.READ:
+        if op.kind is _READ:
             if state is None:
-                return Status.EMPTY, None, None
-            return Status.DONE, state, state
+                return _STATUS_EMPTY, None, None
+            return _DONE, state, state
         if state is None or state == op.arg:
-            return Status.DONE, None, op.arg
-        return Status.ALREADY_CHOSEN, state, state
+            return _DONE, None, op.arg
+        return _ALREADY_CHOSEN, state, state
 
     def matches(op: _Op, state: Optional[Value]):
         """(True, state') when the op can linearize here, else (False, None)."""
@@ -214,7 +223,13 @@ def _linearizable_write_once(ops: List[_Op]) -> bool:
                     return True
         return False
 
-    return search(frozenset(range(n)), None)
+    try:
+        return search(frozenset(range(n)), None)
+    finally:
+        # `search` calls itself through its closure cell: a reference cycle
+        # that would keep this call's ops, memo and closures for the
+        # cyclic collector.
+        del search
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +261,10 @@ def _read_sequences(ops, verdict: Verdict):
     empty: List[str] = []
     decoded: Dict[Optional[Value], Optional[List[str]]] = {}
     for op in ops:
-        if op.kind is ReqKind.READ and op.resp is not None:
-            if op.status is Status.EMPTY:
+        if op.kind is _READ and op.resp is not None:
+            if op.status is _STATUS_EMPTY:
                 yield op, empty
-            elif op.status is Status.DONE:
+            elif op.status is _DONE:
                 value = op.result
                 if value in decoded:
                     seq = decoded[value]
@@ -308,7 +323,7 @@ def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
         first.setdefault(token, pos)
         last[token] = pos
 
-    submitted = {op.token for op in ops if op.kind is ReqKind.WRITE and op.token}
+    submitted = {op.token for op in ops if op.kind is _WRITE and op.token}
     stray_at = min((pos for token, pos in first.items() if token not in submitted),
                    default=len(longest))
     for op, seq in reads:
@@ -330,7 +345,7 @@ def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
     # CS-Update-Visibility: a read holds the first position in `S` of every
     # update completed before it was invoked (a token missing from `S` sits at
     # its end).
-    completed = [op for op in ops if op.kind is ReqKind.WRITE and op.status is Status.DONE]
+    completed = [op for op in ops if op.kind is _WRITE and op.status is _DONE]
     for op, seq, (pos, token) in _best_before(
         [(w, first.get(w.token, len(longest)), w.token) for w in completed], reads
     ):
@@ -356,7 +371,7 @@ def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
 def _pairwise_sequence(ops, reads, verdict: Verdict) -> None:
     """The five properties by comparing every pair of reads, and every read
     with every pair of completed updates."""
-    submitted = {op.token for op in ops if op.kind is ReqKind.WRITE and op.token}
+    submitted = {op.token for op in ops if op.kind is _WRITE and op.token}
     for op, seq in reads:
         stray = set(seq) - submitted
         if stray:
@@ -383,7 +398,7 @@ def _pairwise_sequence(ops, reads, verdict: Verdict) -> None:
                     )
 
     completed = [
-        op for op in ops if op.kind is ReqKind.WRITE and op.status is Status.DONE
+        op for op in ops if op.kind is _WRITE and op.status is _DONE
     ]
     for w in completed:
         for op, seq in reads:
@@ -515,7 +530,7 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
                 ))
         elif kind is ClientResponseEv:
             if (
-                ev.status in (Status.DONE, Status.ALREADY_CHOSEN)
+                ev.status in (_DONE, _ALREADY_CHOSEN)
                 and not ev.value.empty
                 and (ev.key, ev.value) not in learnable
             ):

@@ -60,6 +60,13 @@ OUTBUF_MAX = 4 << 20
 READ = selectors.EVENT_READ
 WRITE = selectors.EVENT_WRITE
 
+# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.WRITE`-style
+# lookup in a function takes the enum metaclass's slow `__getattr__` hook
+# (see `rmwreg.messages`).
+_REQ_WRITE = ReqKind.WRITE  # `WRITE` is the selector event
+_ERROR = Status.ERROR
+_UNAVAILABLE = Status.UNAVAILABLE
+
 
 def proposer_pid(index: int) -> int:
     return PROPOSER_BASE + index
@@ -403,6 +410,10 @@ class Replica:
         if target == self.index:
             self.local.append(msg)
             return
+        if not 0 <= target < len(self.addresses):
+            # A pid outside the group, from a peer with a longer replica
+            # list or from any client connection: dropped, as in `sim.World`.
+            return
         conn = self.peers.get(target) or self._connect(target)
         if conn is not None:  # None while a reconnect waits: the message is lost
             self._queue(conn, codec.frame(msg))
@@ -420,11 +431,11 @@ class Replica:
 
     def _handle_client(self, req: ClientRequest, conn) -> None:
         cmd: Optional[UpdateCommand] = None
-        if req.kind is ReqKind.WRITE:
+        if req.kind is _REQ_WRITE:
             try:
                 cmd = decode_command(req.command)
             except Exception as exc:
-                reply = ClientReply(Status.ERROR, Value(str(exc).encode()), req.client_seq)
+                reply = ClientReply(_ERROR, Value(str(exc).encode()), req.client_seq)
                 self._reply(conn, reply)
                 return
         effects = self.proposer.submit(req.key, req.kind, cmd, conn, req.client_seq)
@@ -499,7 +510,7 @@ class NetClient:
                 self.close()
                 if sent and not resend:
                     break
-        return Status.UNAVAILABLE, EMPTY
+        return _UNAVAILABLE, EMPTY
 
     def facade(self, mode) -> KvFacade:
         return KvFacade(self.submit, mode)

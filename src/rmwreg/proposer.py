@@ -68,6 +68,19 @@ _JITTER_BITS = _JITTER_SPAN.bit_length()
 # namedtuple's Python `__new__` (see `rmwreg.core`).
 _tuple_new = tuple.__new__
 
+# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
+# lookup in a function takes the enum metaclass's slow `__getattr__` hook
+# (see `rmwreg.messages`).
+_READ = ReqKind.READ
+_WRITE = ReqKind.WRITE
+_WRITE_ONCE = Mode.WRITE_ONCE
+_RMW = Mode.RMW
+_DONE = Status.DONE
+_STATUS_EMPTY = Status.EMPTY  # `EMPTY` is the empty `Value`
+_NOOP = Status.NOOP
+_ALREADY_CHOSEN = Status.ALREADY_CHOSEN
+_ERROR = Status.ERROR
+
 
 # Like the messages and effects, `FastToken` is a slotted record built on
 # the hot path: unhashable, and never reassigned after construction
@@ -178,13 +191,13 @@ class Proposer:
         """Admit one client request. Writes carry an update command; a
         write-once write is admitted as `SetIfEmpty` of the literal it gives
         on the empty register, or answered now if it gives none."""
-        if kind is ReqKind.WRITE and self.config.register_mode is Mode.WRITE_ONCE:
+        if kind is _WRITE and self.config.register_mode is _WRITE_ONCE:
             try:
                 literal = apply_command(cmd, EMPTY)
             except CommandError as exc:
-                return [Reply(client, Status.ERROR, Value(str(exc).encode()), client_seq)]
+                return [Reply(client, _ERROR, Value(str(exc).encode()), client_seq)]
             if literal is None:
-                return [Reply(client, Status.NOOP, EMPTY, client_seq)]
+                return [Reply(client, _NOOP, EMPTY, client_seq)]
             cmd = SetIfEmpty(literal)
         entry = (cmd, client, client_seq)
         if self.config.batch_interval > 0:
@@ -200,7 +213,7 @@ class Proposer:
         req = Request(rid, key, kind, waiting)
         # Request ids drive the exactly-once machinery, which exists only in
         # RMW mode; the other modes never emit LEARNED.
-        if kind is ReqKind.WRITE and self.config.register_mode is Mode.RMW:
+        if kind is _WRITE and self.config.register_mode is _RMW:
             req.reqid = ReqID(self.pid, self.next_seq)
             self.next_seq += 1
             self.open_writes[req.reqid] = req
@@ -208,14 +221,14 @@ class Proposer:
         return req
 
     def _start(self, req: Request) -> List[Effect]:
-        if req.kind is ReqKind.WRITE:
+        if req.kind is _WRITE:
             token = self.fast.get(req.key)
             if token is not None:
                 return self._fast_write(req, token)
         return self._broadcast_prepare(req)
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
-        kind = ReqKind.WRITE if (req.kind is ReqKind.WRITE or req.escalated) else ReqKind.READ
+        kind = _WRITE if (req.kind is _WRITE or req.escalated) else _READ
         ticket = _tuple_new(Ticket, (req.rid, req.instance))
         return self._broadcast(req, Prepare(req.key, self.pid, kind, ticket))
 
@@ -262,7 +275,7 @@ class Proposer:
         if req is None:
             return []
         current = ack.ticket.instance == req.instance and req.proposal is None
-        if req.kind is ReqKind.READ:
+        if req.kind is _READ:
             pool = req.read_pool
             if pool is None:
                 pool = req.read_pool = ReadPool(self.quorum)
@@ -328,7 +341,7 @@ class Proposer:
         batch timer may have fired in the crash window, so whatever is
         batched starts now."""
         self.fast.clear()
-        if self.config.register_mode is Mode.RMW:
+        if self.config.register_mode is _RMW:
             for req in list(self.open_writes.values()):
                 if req.proposed:
                     self._evict(req)
@@ -353,7 +366,7 @@ class Proposer:
             ticket = _tuple_new(Ticket, (req.rid, req.instance))
             prep = PaxosPrep(req.key, self.pid, token[3], ticket)
             return self._broadcast(req, prep)
-        if req.kind is ReqKind.READ and not req.escalated and len(req.acks) >= self.quorum:
+        if req.kind is _READ and not req.escalated and len(req.acks) >= self.quorum:
             # A quorum answered without agreeing and the rest stayed silent:
             # a read retry, counted against the budget, not a blind restart.
             return self._read_retry(req)
@@ -373,9 +386,9 @@ class Proposer:
         retries; a reply to an earlier attempt only adds to the pool."""
         pool = req.read_pool
         if pool.chosen is not None:
-            return self._finish(req, Status.DONE, pool.chosen[0])
+            return self._finish(req, _DONE, pool.chosen[0])
         if pool.empty:
-            return self._finish(req, Status.EMPTY, EMPTY)
+            return self._finish(req, _STATUS_EMPTY, EMPTY)
         if not current or len(req.acks) < self.config.n_acceptors:
             return []
         return self._read_retry(req)
@@ -421,9 +434,9 @@ class Proposer:
         if req.escalated:
             # A consistent, fully unvoted quorum: nothing was ever chosen,
             # so the read may return empty without proposing anything.
-            return self._finish(req, Status.EMPTY, EMPTY)
+            return self._finish(req, _STATUS_EMPTY, EMPTY)
         if req.learned:
-            return self._finish(req, Status.DONE, EMPTY)
+            return self._finish(req, _DONE, EMPTY)
         return self._propose_successor(req, round, EMPTY, None)
 
     def _settled(
@@ -433,9 +446,9 @@ class Proposer:
         escalated read, or an RMW write whose command is in it. None: the
         request still has commands to apply."""
         if req.escalated:
-            return self._finish(req, Status.DONE, chosen)
+            return self._finish(req, _DONE, chosen)
         if req.reqid is not None and (chosen_req == req.reqid or req.learned):
-            return self._finish(req, Status.DONE, chosen)
+            return self._finish(req, _DONE, chosen)
         return None
 
     def _propose_successor(
@@ -473,15 +486,15 @@ class Proposer:
             try:
                 result = apply_command(cmd, current)
             except CommandError as exc:
-                reply = Reply(client, Status.ERROR, Value(str(exc).encode()), seq)
+                reply = Reply(client, _ERROR, Value(str(exc).encode()), seq)
             else:
                 if result is not None:
                     kept.append(entry)
                     current = value = result
                     continue
-                status = Status.NOOP
+                status = _NOOP
                 if type(cmd) is SetIfEmpty:
-                    status = Status.DONE if cmd.literal == current else Status.ALREADY_CHOSEN
+                    status = _DONE if cmd.literal == current else _ALREADY_CHOSEN
                 reply = Reply(client, status, current, seq)
             if value is None:
                 replies.append(reply)
@@ -521,7 +534,7 @@ class Proposer:
         if settled is not None:
             return settled
         if not req.writethrough:  # a sequence register's own proposal
-            return self._finish(req, Status.DONE, chosen)
+            return self._finish(req, _DONE, chosen)
         # A write-through only consolidates someone's unfinished consensus;
         # the client's own command still has to be processed.
         return self._fast_write(req, token)

@@ -49,6 +49,13 @@ from .trace import (  # the JSONL serializers are re-exported for callers of thi
     trace_to_jsonl,
 )
 
+# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
+# lookup in a function takes the enum metaclass's slow `__getattr__` hook
+# (see `rmwreg.messages`).
+_WRITE = ReqKind.WRITE
+_WRITE_ONCE = Mode.WRITE_ONCE
+_RMW = Mode.RMW
+
 
 # ---------------------------------------------------------------------------
 # configuration and workload scripts
@@ -116,7 +123,7 @@ class _ClientState:
 
 class World:
     def __init__(self, config: Config, sim: SimConfig, scripts: Sequence[ClientScript]):
-        if config.register_mode is Mode.RMW and not sim.fifo:
+        if config.register_mode is _RMW and not sim.fifo:
             raise ValueError("RMW mode requires reliable FIFO links")
         if sim.max_delay < 1:  # `randbelow` draws a delay, and below 1 loops forever
             raise ValueError(f"max_delay must be at least 1 tick, got {sim.max_delay}")
@@ -260,7 +267,7 @@ class World:
         spec = script.ops[op_index % len(script.ops)]
         token: Optional[str] = None
         cmd = spec.cmd
-        if spec.kind is ReqKind.WRITE and spec.make_cmd is not None:
+        if spec.kind is _WRITE and spec.make_cmd is not None:
             token = f"{client}.{op_index}"
             cmd = spec.make_cmd(token)
         self.submit(client, script.key, spec.kind, cmd, op_index, token)
@@ -276,7 +283,7 @@ class World:
         """
         cs = self.clients[client]
         value = None
-        if kind is ReqKind.WRITE and self.config.register_mode is Mode.WRITE_ONCE:
+        if kind is _WRITE and self.config.register_mode is _WRITE_ONCE:
             try:
                 value = apply_command(cmd, EMPTY)
             except CommandError:

@@ -1,5 +1,7 @@
+import gc
 import os
 
+import pytest
 from hypothesis import settings
 
 # CI fuzzes the codec, quorum, round, acceptor, proposer, kv and checker
@@ -16,3 +18,23 @@ from hypothesis import settings
 # Other runs keep hypothesis's default profile.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """`cyclic_garbage(run)` calls `run()` with the cyclic collector paused
+    and returns how many unreachable objects it left for the collector: the
+    reference cycles it made. The collector's state is restored after."""
+
+    def count(run) -> int:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            run()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    return count

@@ -132,6 +132,17 @@ def test_write_once_pending_write_may_take_effect():
     assert check_write_once(h).ok
 
 
+def test_write_once_search_leaves_no_reference_cycle(cyclic_garbage):
+    """The witness search is a recursive closure; once it returns, its ops,
+    memo and closures must be freed by reference counting alone."""
+    v = Value(b'"x"')
+    h = hist(
+        w_inv(0, 0, value=v), r_inv(1, 0),
+        w_resp(0, 0, Status.DONE, v), r_resp(1, 0, Status.DONE, v),
+    )
+    assert cyclic_garbage(lambda: check_write_once(h)) == 0
+
+
 def test_write_once_op_cap():
     v = Value(b'"x"')
     events = []

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from rmwreg import codec, kv, net
-from rmwreg.core import EMPTY, Config, Mode, Value
-from rmwreg.messages import ClientReply, ClientRequest, ReqKind, Status
+from rmwreg.core import EMPTY, ROUND_ZERO, Config, Mode, ReqID, Value
+from rmwreg.messages import ClientReply, ClientRequest, Prepare, ReqKind, Status, Ticket, Vote
 from rmwreg.net import NetClient, Replica
 from rmwreg.proposer import Proposer
 
@@ -427,6 +427,27 @@ def test_live_timer_still_restarts_a_request(group, monkeypatch):
     finally:
         client.close()
     assert replicas[0].proposer.stats.restarts >= 1
+
+
+@pytest.mark.parametrize("stray", [
+    # a Prepare from a pid outside the group: its Ack has nowhere to go
+    Prepare(b"x", 7, ReqKind.WRITE, Ticket(0, 0)),
+    # a Vote naming a previous writer outside the group: so has its Learned
+    Vote(b"x", 7, ROUND_ZERO, Value(b'"v"'), None, ReqID(999, 0), Ticket(0, 0)),
+], ids=["prepare", "vote"])
+def test_message_for_a_pid_outside_the_group_is_dropped(group, monkeypatch, stray):
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    addrs, _ = group
+    sock = socket.create_connection(addrs[0], timeout=5)
+    try:
+        # The read is handled after the stray frame, on the same connection.
+        sock.sendall(codec.frame(stray) + codec.frame(ClientRequest(b"r", ReqKind.READ, b"", 0)))
+        reply = read_message(sock, bytearray())
+    finally:
+        sock.close()
+    assert crashes == []
+    assert isinstance(reply, ClientReply) and reply.status is Status.EMPTY
 
 
 def test_command_that_fails_to_apply_leaves_the_replica_serving(group):

@@ -1,11 +1,14 @@
 import dataclasses
+import dis
 import hashlib
+import inspect
 import random
 import tracemalloc
+import types
 
 import pytest
 
-from rmwreg import acceptor, checker, kv, messages, proposer, quorum
+from rmwreg import acceptor, checker, cli, kv, messages, net, proposer, quorum, sim
 from rmwreg.core import Config, Mode, ReqID, Round, Value, randbelow
 from rmwreg.messages import ReqKind, Status, Ticket
 from rmwreg.sim import (
@@ -348,6 +351,51 @@ def test_histories_are_per_key():
     assert all(e.key == b"a" for e in res.histories[b"a"])
 
 
+def fuzz_arm_seeds():
+    """One seed of each arm shape of the mixed fuzz campaign: write-once on
+    3 and 5 lossy links, sequence and RMW on 3 FIFO links, 2-4 duelling
+    proposers and a seed-derived crash plan, each checked as `rmwreg fuzz`
+    checks it."""
+    lossy = dict(fifo=False, drop=0.05, dup=0.02)
+    arms = ((Mode.WRITE_ONCE, 3, lossy), (Mode.WRITE_ONCE, 5, lossy),
+            (Mode.SEQUENCE, 3, dict(fifo=True)), (Mode.RMW, 3, dict(fifo=True)))
+    for seed, (mode, n, links) in enumerate(arms, start=40):
+        duellers = 2 + seed % 3
+        if mode is Mode.WRITE_ONCE:
+            scripts, crashable = cli.default_scripts(mode, duellers), ()
+        else:
+            scripts = [script(c, (W, R, W, R)) for c in range(duellers)]
+            crashable = [s.proposer for s in scripts]
+        plan = random_crash_plan(seed, n, (n - 1) // 2, 200, crashable)
+        simcfg = SimConfig(seed=seed, max_delay=10, crash_plan=plan, **links)
+        result = run_workload(Config(n_acceptors=n, register_mode=mode), simcfg, scripts)
+        cli.check_result(mode, result, n)
+
+
+def storm_world():
+    config = Config(n_acceptors=3, register_mode=Mode.SEQUENCE, read_retry_limit=2)
+    scripts = [script(0, (W,), loop_until=40)]
+    scripts += [script(c, (R,), loop_until=40) for c in range(1, 17)]
+    run_workload(config, SimConfig(seed=5, max_delay=5), scripts)
+
+
+def sim_driver_session():
+    facade = kv.SimDriver(Config(n_acceptors=3, register_mode=Mode.RMW),
+                          SimConfig(seed=3, fifo=True)).facade()
+    facade.put(b"k", 1)
+    facade.update(b"k", kv.AddCmd(2))
+    assert facade.get(b"k") == 3
+
+
+@pytest.mark.parametrize("run", [fuzz_arm_seeds, storm_world, sim_driver_session],
+                         ids=lambda run: run.__name__)
+def test_simulated_run_leaves_no_cyclic_garbage(cyclic_garbage, run):
+    """What a run allocates is freed by reference counting once it is
+    dropped: the cyclic collector, which walks every object a run retains,
+    has nothing to reclaim."""
+    assert cyclic_garbage(run) == 0
+
+
 def test_random_crash_plan_is_deterministic_and_bounded():
     p1 = random_crash_plan(9, 5, 2, 100, [PROPOSER_BASE])
     p2 = random_crash_plan(9, 5, 2, 100, [PROPOSER_BASE])
@@ -529,3 +577,37 @@ def test_records_are_never_reassigned():
         for cls in RECORDS:
             if vars(cls).get("__setattr__") is _write_once:
                 del cls.__setattr__
+
+
+def _nested_code(code):
+    """Every code object defined inside `code`, at any depth: functions,
+    methods, closures, lambdas, comprehensions and class bodies."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield const
+            yield from _nested_code(const)
+
+
+def test_hot_paths_load_no_enum_class():
+    """On Python 3.10 and 3.11 the enum metaclass defines `__getattr__`, so a
+    member lookup such as `ReqKind.READ` goes through the slow attribute
+    hook (about 110 ns on 3.11, against 10 for a module global). The
+    simulator, protocol, checker and socket modules, and the two `cli`
+    functions every fuzz seed calls, bind the members they use to module
+    constants at import; no function of theirs loads an enum class."""
+    codes = []
+    for module in (sim, proposer, acceptor, quorum, checker, net):
+        codes += _nested_code(module.__spec__.loader.get_code(module.__name__))
+    for top in _nested_code(cli.__spec__.loader.get_code(cli.__name__)):
+        if top.co_name in ("default_scripts", "check_result"):
+            codes += [top, *_nested_code(top)]
+    assert len(codes) > 100
+    offenders = {
+        f"{code.co_filename}:{code.co_firstlineno} {code.co_name} loads {ins.argval}"
+        for code in codes
+        if code.co_flags & inspect.CO_OPTIMIZED  # a function body, not a class body
+        for ins in dis.get_instructions(code)
+        if ins.opname.startswith("LOAD") and ins.opname != "LOAD_CONST"
+        and ins.argval in ("ReqKind", "Status", "Mode")
+    }
+    assert sorted(offenders) == []
