@@ -78,12 +78,6 @@ class Acceptor:
             h.update(repr(self.cells[key]).encode())
         return h.hexdigest()
 
-    def snapshot(self) -> Dict[bytes, AcceptorState]:
-        return dict(self.cells)
-
-    def restore(self, cells: Dict[bytes, AcceptorState]) -> None:
-        self.cells = dict(cells)
-
     # -- message handling ---------------------------------------------------
 
     def handle(self, msg) -> List[Send]:

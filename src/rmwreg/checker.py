@@ -1,10 +1,12 @@
 """Safety validation over client histories and simulator traces.
 
-Histories are checked against the consensus properties (write-once
-register), the consensus-sequence properties plus exactly-once (sequence
-and RMW registers), and a brute-force linearizability oracle for small
-write-once histories. Traces are audited for the protocol invariants that
-underpin those properties.
+Histories are checked against the consensus properties plus
+linearizability (write-once register) and the consensus-sequence
+properties plus exactly-once (sequence and RMW registers). Traces are
+audited for the protocol invariants that underpin those properties.
+
+Write-once linearizability has a closed form, checked in one walk over the
+operations (`check_write_once`).
 
 Sequence checking relies on the append-log test payload: every update
 appends its own unique token, so the update sequence of a value can be
@@ -30,8 +32,6 @@ from .core import Value
 from .messages import ReqKind, Status, Vote, Voted
 from .quorum import quorum_size
 from .trace import ClientResponseEv, SendEv, StateSnapshotEv
-
-MAX_LINEARIZE_OPS = 12
 
 # Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
 # lookup in a function takes the enum metaclass's slow `__getattr__` hook
@@ -117,21 +117,52 @@ def _ops_of(history: Sequence[HistoryEvent]) -> List[_Op]:
 
 
 def check_write_once(history: Sequence[HistoryEvent]) -> Verdict:
-    """Consensus safety plus bounded linearizability for write-once mode."""
-    verdict = Verdict()
-    ops = _ops_of(history)
+    """Consensus safety plus linearizability for write-once mode, in one walk.
 
-    proposed = {op.arg for op in ops if op.kind is _WRITE and op.arg is not None}
+    An answer carries a value when it is a DONE read (its result), a DONE
+    write (its literal) or ALREADY_CHOSEN (its result). A history is
+    linearizable if and only if (a) every completed op got a status the
+    sequential register can give: a read DONE or EMPTY, a write DONE, or a
+    write ALREADY_CHOSEN with a result other than its literal; (b) the
+    answers carry at most one value `v`; and (c) if they do, some write of
+    `v`, pending or not, was invoked, as was every EMPTY read, before the
+    first response carrying `v`.
+
+    Only if: in a witness the register is empty until the first write that
+    takes effect, of some `v`, and holds `v` after it, so every EMPTY read
+    comes before that write and every value-carrying answer after it. If:
+    pending ops may be dropped, so with no value carried the EMPTY reads
+    replay in any real-time order. Otherwise the write of (c) is pending or
+    answered DONE, since by (a) and (b) a write answered ALREADY_CHOSEN
+    carries `v` and so has another literal. Put it at a point `t` between
+    the invokes and the response of (c), each EMPTY read just after its
+    invoke, and each other answer just after the later of its invoke and
+    `t`; every op falls inside its own interval, and the state never changes
+    after `t`. A write's literal is taken to be a value: the proposer answers
+    ERROR to a write whose command yields none on the empty register.
+    """
+    verdict = Verdict()
+    proposed = set()
+    writes: List[Tuple[int, Value]] = []  # (invoke, literal)
     learned: List[Tuple[int, Value]] = []  # (history position, value)
-    for op in ops:
+    empty_reads: List[_Op] = []
+    legal = True  # (a)
+    for op in _ops_of(history):
+        kind, status = op.kind, op.status
+        if kind is _WRITE and op.arg is not None:
+            proposed.add(op.arg)
+            writes.append((op.inv, op.arg))
         if op.resp is None:
             continue
-        if op.status is _DONE and op.kind is _READ:
+        if status is _DONE:
+            learned.append((op.resp, op.result if kind is _READ else op.arg))
+        elif status is _ALREADY_CHOSEN:
             learned.append((op.resp, op.result))
-        elif op.status is _DONE and op.kind is _WRITE:
-            learned.append((op.resp, op.arg))
-        elif op.status is _ALREADY_CHOSEN:
-            learned.append((op.resp, op.result))
+            legal = legal and kind is _WRITE and op.result != op.arg
+        elif status is _STATUS_EMPTY and kind is _READ:
+            empty_reads.append(op)
+        else:
+            legal = False
 
     for _, v in learned:
         if v not in proposed:
@@ -143,93 +174,21 @@ def check_write_once(history: Sequence[HistoryEvent]) -> Verdict:
 
     if learned:
         first_learn = min(pos for pos, _ in learned)
-        for op in ops:
-            if (
-                op.kind is _READ
-                and op.status is _STATUS_EMPTY
-                and op.inv > first_learn
-            ):
+        for op in empty_reads:
+            if op.inv > first_learn:
                 verdict.flag(
                     "C-Stability",
                     f"read by client {op.client} returned empty after a value was learned",
                 )
-
-    if len(ops) > MAX_LINEARIZE_OPS:
-        raise ValueError(
-            f"exhaustive linearizability is capped at {MAX_LINEARIZE_OPS} operations; "
-            "use the sequence checks instead"
-        )
-    if not _linearizable_write_once(ops):
+        if legal and len(values) == 1:  # (b), then (c)
+            (v,) = values
+            last_empty = max((op.inv for op in empty_reads), default=-1)
+            legal = any(arg == v and max(inv, last_empty) < first_learn for inv, arg in writes)
+        else:
+            legal = False
+    if not legal:
         verdict.flag("Linearizability", "no legal sequential witness exists")
     return verdict
-
-
-def _linearizable_write_once(ops: List[_Op]) -> bool:
-    """Exhaustive witness search against the sequential write-once register.
-
-    Incomplete operations may take effect or be dropped; completed
-    operations must match the sequential semantics at their linearization
-    point and respect real-time precedence.
-    """
-    items = list(ops)
-    n = len(items)
-    seen = set()
-
-    def expected(op: _Op, state: Optional[Value]):
-        if op.kind is _READ:
-            if state is None:
-                return _STATUS_EMPTY, None, None
-            return _DONE, state, state
-        if state is None or state == op.arg:
-            return _DONE, None, op.arg
-        return _ALREADY_CHOSEN, state, state
-
-    def matches(op: _Op, state: Optional[Value]):
-        """(True, state') when the op can linearize here, else (False, None)."""
-        status, result, state_after = expected(op, state)
-        if op.resp is None:
-            return True, state_after  # pending: any effect is allowed
-        if op.status is not status:
-            return False, None
-        if result is not None and op.result != result:
-            return False, None
-        return True, state_after
-
-    def search(remaining: frozenset, state: Optional[Value]) -> bool:
-        if all(items[i].resp is None for i in remaining):
-            return True  # pending ops may simply never take effect
-        key = (remaining, state)
-        if key in seen:
-            return False
-        seen.add(key)
-        resp_bound = min(
-            (items[i].resp for i in remaining if items[i].resp is not None),
-            default=None,
-        )
-        for i in remaining:
-            op = items[i]
-            # An op can be next only if nothing remaining finished before it
-            # was invoked.
-            if resp_bound is not None and op.inv > resp_bound:
-                continue
-            ok, state_after = matches(op, state)
-            if not ok:
-                continue
-            if search(remaining - {i}, state_after):
-                return True
-            if op.resp is None:
-                # Pending op may also be dropped entirely.
-                if search(remaining - {i}, state):
-                    return True
-        return False
-
-    try:
-        return search(frozenset(range(n)), None)
-    finally:
-        # `search` calls itself through its closure cell: a reference cycle
-        # that would keep this call's ops, memo and closures for the
-        # cyclic collector.
-        del search
 
 
 # ---------------------------------------------------------------------------

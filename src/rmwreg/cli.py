@@ -152,11 +152,7 @@ def check_result(mode: Mode, result, n_acceptors: int) -> checker.Verdict:
     verdict = checker.Verdict()
     for key, history in result.histories.items():
         if mode is _WRITE_ONCE:
-            try:
-                verdict.merge(checker.check_write_once(history))
-            except ValueError as exc:
-                verdict.checkable = False
-                verdict.flag("NotCheckable", str(exc))
+            verdict.merge(checker.check_write_once(history))
         else:
             # Sequence checks read update order off append-log tokens, so
             # they only apply when the workload tagged its writes.

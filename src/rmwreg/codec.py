@@ -333,11 +333,16 @@ def frame(msg) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def unframe(buf: bytearray):
+def unframe(buf: bytearray, limit: int = 1 << 32):
     """Yield the message in each complete frame at the front of `buf`,
-    deleting the frame's bytes before it is decoded; a partial frame stays."""
+    deleting the frame's bytes before it is decoded; a partial frame stays.
+    Raises CodecError at a header that announces a body longer than `limit`
+    bytes, before the body arrives."""
     while len(buf) >= 4:
-        end = 4 + _LENGTH.unpack_from(buf)[0]
+        size = _LENGTH.unpack_from(buf)[0]
+        if size > limit:
+            raise CodecError(f"frame of {size} bytes exceeds {limit}")
+        end = 4 + size
         if len(buf) < end:
             return
         body = bytes(buf[4:end])

@@ -12,12 +12,12 @@ A peer message of a type in `ACCEPTOR_MESSAGES` goes to the acceptor and
 any other to the proposer; the effects both return go through one
 `_apply_effects`. Every socket is non-blocking and has an input buffer,
 which `codec.unframe` drains, and an output buffer, flushed once per turn of
-the loop; a connection that leaves more than `OUTBUF_MAX` bytes unsent is
-closed. The timers of every replica wait in one heap of
-`(deadline, seq, replica, token)`, and messages a replica sends to itself go
-through its own deque. A timer whose firing would do nothing, such as one of
-a request that has finished, is dropped from the top of the heap before the
-loop waits, so it never wakes the loop.
+the loop; a connection that leaves more than `OUTBUF_MAX` bytes unsent, or
+announces a frame longer than that, is closed. The timers of every replica
+wait in one heap of `(deadline, seq, replica, token)`, and messages a
+replica sends to itself go through its own deque. A timer whose firing
+would do nothing, such as one of a request that has finished, is dropped
+from the top of the heap before the loop waits, so it never wakes the loop.
 
 TCP provides the reliable FIFO links RMW mode needs. A replica sends to each
 peer over one outbound connection, which it opens without blocking and
@@ -336,7 +336,10 @@ class Replica:
             return
         conn.inbuf += data
         try:
-            for msg in codec.unframe(conn.inbuf):
+            # `_write` gives up on a connection with more than OUTBUF_MAX
+            # bytes unsent, so a frame that announces a longer body is
+            # refused at its header, before the body piles up here.
+            for msg in codec.unframe(conn.inbuf, OUTBUF_MAX):
                 self._dispatch(msg, conn.sock)
         except codec.CodecError:
             self._close(conn)

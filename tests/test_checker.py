@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from typing import Dict, List
@@ -109,7 +110,18 @@ def test_write_once_linearizability_catches_stale_read_between_writes():
         w_inv(0, 0, value=v), w_resp(0, 0, Status.DONE, v),
         r_inv(1, 0), r_resp(1, 0, Status.EMPTY),
     )
-    assert not checker._linearizable_write_once(checker._ops_of(h))
+    assert "Linearizability" in {v.prop for v in check_write_once(h).violations}
+
+
+def test_write_once_read_of_a_value_not_yet_written_is_not_linearizable():
+    """The value was proposed, so C-Nontriviality holds, but only by a write
+    invoked right after the read returned it."""
+    v = Value(b'"x"')
+    h = hist(
+        r_inv(1, 0), r_resp(1, 0, Status.DONE, v),
+        w_inv(0, 0, value=v), w_resp(0, 0, Status.DONE, v),
+    )
+    assert [v.prop for v in check_write_once(h).violations] == ["Linearizability"]
 
 
 def test_write_once_concurrent_empty_read_is_linearizable():
@@ -143,14 +155,99 @@ def test_write_once_search_leaves_no_reference_cycle(cyclic_garbage):
     assert cyclic_garbage(lambda: check_write_once(h)) == 0
 
 
-def test_write_once_op_cap():
+def test_long_write_once_history_is_checked():
+    """No op count is too many: a 20-op history whose last read returns
+    empty after a completed write is flagged, not refused."""
     v = Value(b'"x"')
-    events = []
-    for i in range(13):
-        events.append(w_inv(i, 0, value=v))
-        events.append(w_resp(i, 0, Status.DONE, v))
-    with pytest.raises(ValueError):
-        check_write_once(hist(*events))
+    events = [w_inv(0, 0, value=v), w_resp(0, 0, Status.DONE, v)]
+    for i in range(1, 19):
+        events += [r_inv(i, 0), r_resp(i, 0, Status.DONE, v)]
+    events += [r_inv(19, 0), r_resp(19, 0, Status.EMPTY)]
+    verdict = check_write_once(hist(*events))
+    assert [v.prop for v in verdict.violations] == ["C-Stability", "Linearizability"]
+
+
+# ---------------------------------------------------------------------------
+# write-once: the one walk against a brute-force witness search
+
+
+LITERALS = tuple(Value(f'"{c}"'.encode()) for c in "abc")
+
+
+@st.composite
+def write_once_histories(draw):
+    """Up to six ops of one key at random real times, writing one to three
+    literals. Each op mostly gets the answer a sequential register gives at
+    a random point inside its interval, so about two thirds of the histories
+    have a witness; an op may instead get any status with any literal or
+    None as result, or stay pending."""
+    literals = LITERALS[: draw(st.integers(1, 3))]
+    ops = []
+    for c in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from((ReqKind.READ, ReqKind.WRITE)))
+        arg = draw(st.sampled_from(literals)) if kind is ReqKind.WRITE else None
+        inv = draw(st.integers(0, 30))
+        resp = inv + draw(st.integers(1, 8))
+        ops.append((draw(st.integers(inv, resp - 1)) + 0.5, c, kind, arg, inv, resp))
+    timed = []  # (time, invoke 0 or respond 1, client, event)
+    state = None
+    for _, c, kind, arg, inv, resp in sorted(ops):
+        if kind is ReqKind.READ:
+            status, result = (Status.EMPTY, None) if state is None else (Status.DONE, state)
+        elif state is None or state == arg:
+            status, result, state = Status.DONE, arg, arg
+        else:
+            status, result = Status.ALREADY_CHOSEN, state
+        timed.append((inv, 0, c, HistoryEvent("invoke", c, 0, kind, b"r", value=arg)))
+        shape = draw(st.integers(0, 5))
+        if shape == 0:
+            continue  # pending
+        if shape == 1:
+            status = draw(st.sampled_from(tuple(Status)))
+            result = draw(st.sampled_from(literals + (None,)))
+        timed.append((resp, 1, c, HistoryEvent(
+            "respond", c, 0, kind, b"r", value=result, status=status)))
+    return [ev for _, _, _, ev in sorted(timed, key=lambda t: t[:3])]
+
+
+def replays(order) -> bool:
+    """Whether `order` answers as a sequential write-once register would."""
+    state = None
+    for op in order:
+        if op.kind is ReqKind.READ:
+            status, result = (Status.EMPTY, None) if state is None else (Status.DONE, state)
+        elif state is None or state == op.arg:
+            status, result, state = Status.DONE, None, op.arg
+        else:
+            status, result = Status.ALREADY_CHOSEN, state
+        if op.resp is not None and (
+            op.status is not status or (result is not None and op.result != result)
+        ):
+            return False
+    return True
+
+
+def has_witness(history) -> bool:
+    """Some order of the completed ops plus any subset of the pending ones
+    respects real time and replays on the sequential register."""
+    ops = checker._ops_of(history)
+    done = [op for op in ops if op.resp is not None]
+    pending = [op for op in ops if op.resp is None]
+    for k in range(len(pending) + 1):
+        for extra in itertools.combinations(pending, k):
+            for order in itertools.permutations(done + list(extra)):
+                if all(later.resp is None or later.resp > op.inv
+                       for i, op in enumerate(order) for later in order[i + 1 :]) \
+                        and replays(order):
+                    return True
+    return False
+
+
+@settings(deadline=None)
+@given(write_once_histories())
+def test_write_once_walk_agrees_with_a_brute_force_witness_search(history):
+    flagged = "Linearizability" in {v.prop for v in check_write_once(history).violations}
+    assert flagged == (not has_witness(history))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import rmwreg
-from rmwreg import checker
 from rmwreg.cli import check_result, default_scripts, main
 from rmwreg.core import Config, Mode
 from rmwreg.sim import SimConfig, run_workload, trace_to_jsonl
@@ -361,14 +360,21 @@ def test_serve_processes_form_a_group(capsys):
     assert codes == [0, 0, 0]
 
 
-def test_long_write_once_history_is_not_checkable():
-    """Exhaustive linearizability stops at `MAX_LINEARIZE_OPS` ops: a longer
-    write-once history is marked NotCheckable, not passed."""
-    scripts = default_scripts(Mode.WRITE_ONCE, 5)
+def test_long_write_once_history_is_checked():
+    """Eight writers make a 24-op write-once history; it is checked in full
+    and passes."""
     res = run_workload(Config(n_acceptors=3, register_mode=Mode.WRITE_ONCE),
-                       SimConfig(seed=0), scripts)
-    assert len(res.history()) > 2 * checker.MAX_LINEARIZE_OPS
+                       SimConfig(seed=0), default_scripts(Mode.WRITE_ONCE, 8))
+    assert [e.kind for e in res.history()].count("respond") == 24
     verdict = check_result(Mode.WRITE_ONCE, res, 3)
-    assert not verdict.checkable
-    assert [v.prop for v in verdict.violations] == ["NotCheckable"]
-    assert "capped at 12 operations" in verdict.violations[0].detail
+    assert verdict.ok, verdict.violations
+
+
+def test_fuzz_long_write_once_script_exits_zero(tmp_path, capsys):
+    script = tmp_path / "w.json"
+    script.write_text(json.dumps({"clients": [
+        {"client": c, "ops": [{"op": "read"}, {"op": "set", "value": c}, {"op": "read"}]}
+        for c in range(5)]}))
+    rc = main(["fuzz", "--mode", "write-once", "--seeds", "0:3", "--script", str(script)])
+    assert "3 seeds, 0 with violations" in capsys.readouterr().out
+    assert rc == 0

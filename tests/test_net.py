@@ -168,6 +168,23 @@ def test_bad_enum_frame_closes_only_that_connection(group, monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_oversized_frame_header_closes_only_that_connection(group):
+    """A header that announces a body longer than OUTBUF_MAX is refused
+    before the body is sent, so a replica never buffers it (up to 4 GiB)."""
+    addrs, _ = group
+    sock = socket.create_connection(addrs[0], timeout=5)
+    try:
+        sock.sendall(codec._LENGTH.pack(net.OUTBUF_MAX + 1))
+        assert read_message(sock, bytearray()) is None  # the replica hung up
+    finally:
+        sock.close()
+    client = NetClient(addrs[0])
+    try:
+        assert client.facade(Mode.RMW).put(b"k", 3) == 3
+    finally:
+        client.close()
+
+
 def test_threads_and_request_tables_stay_bounded():
     before = threading.active_count()
     addrs = free_addresses(3)
