@@ -15,7 +15,6 @@ here and every other protocol message to the proposer.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -29,7 +28,7 @@ from .core import (
     ROUND_ZERO,
     Value,
 )
-from .messages import Ack, Learned, Nack, PaxosPrep, Prepare, ReqKind, Send, Vote, Voted
+from .messages import READ, Ack, Learned, Nack, PaxosPrep, Prepare, Send, Vote, Voted
 
 
 @dataclass(slots=True)
@@ -53,11 +52,6 @@ INITIAL_STATE = AcceptorState()
 # Python `__new__` (see `rmwreg.core`).
 _tuple_new = tuple.__new__
 
-# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
-# lookup in a function takes the enum metaclass's slow `__getattr__` hook
-# (see `rmwreg.messages`).
-_READ = ReqKind.READ
-
 
 class Acceptor:
     def __init__(self, pid: ProcessId, config: Config):
@@ -70,14 +64,6 @@ class Acceptor:
     def cell(self, key: bytes) -> AcceptorState:
         return self.cells.get(key, INITIAL_STATE)
 
-    def state_hash(self) -> str:
-        """Digest over all cells; used to verify reads leave no trace."""
-        h = hashlib.sha256()
-        for key in sorted(self.cells):
-            h.update(key)
-            h.update(repr(self.cells[key]).encode())
-        return h.hexdigest()
-
     # -- message handling ---------------------------------------------------
 
     def handle(self, msg) -> List[Send]:
@@ -87,7 +73,7 @@ class Acceptor:
     def handle_prepare(self, msg: Prepare) -> List[Send]:
         key = msg.key
         state = self.cells.get(key, INITIAL_STATE)
-        if msg.kind is _READ:
+        if msg.kind is READ:
             # Reads leave the cell untouched so they cannot interfere with
             # concurrent requests.
             return [Send(msg.src, Ack(key, self.pid, msg.ticket, state.r_ack, state.val,

@@ -29,19 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .acceptor import INITIAL_STATE, AcceptorState
 from .core import Value
-from .messages import ReqKind, Status, Vote, Voted
+from .messages import (ALREADY_CHOSEN, DONE, READ, STATUS_EMPTY, WRITE, ReqKind, Status, Vote,
+                       Voted)
 from .quorum import quorum_size
 from .trace import ClientResponseEv, SendEv, StateSnapshotEv
-
-# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
-# lookup in a function takes the enum metaclass's slow `__getattr__` hook
-# (see `rmwreg.messages`).
-_READ = ReqKind.READ
-_WRITE = ReqKind.WRITE
-_DONE = Status.DONE
-_STATUS_EMPTY = Status.EMPTY
-_ALREADY_CHOSEN = Status.ALREADY_CHOSEN
-
 
 @dataclass(slots=True)
 class HistoryEvent:
@@ -65,18 +56,21 @@ class Violation:
 @dataclass
 class Verdict:
     violations: List[Violation] = field(default_factory=list)
-    checkable: bool = True
 
     @property
     def ok(self) -> bool:
-        return self.checkable and not self.violations
+        return not self.violations
+
+    @property
+    def checkable(self) -> bool:
+        """False when a check met a history it cannot read."""
+        return all(v.prop != "NotCheckable" for v in self.violations)
 
     def flag(self, prop: str, detail: str) -> None:
         self.violations.append(Violation(prop, detail))
 
     def merge(self, other: "Verdict") -> None:
         self.violations.extend(other.violations)
-        self.checkable = self.checkable and other.checkable
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +143,17 @@ def check_write_once(history: Sequence[HistoryEvent]) -> Verdict:
     legal = True  # (a)
     for op in _ops_of(history):
         kind, status = op.kind, op.status
-        if kind is _WRITE and op.arg is not None:
+        if kind is WRITE and op.arg is not None:
             proposed.add(op.arg)
             writes.append((op.inv, op.arg))
         if op.resp is None:
             continue
-        if status is _DONE:
-            learned.append((op.resp, op.result if kind is _READ else op.arg))
-        elif status is _ALREADY_CHOSEN:
+        if status is DONE:
+            learned.append((op.resp, op.result if kind is READ else op.arg))
+        elif status is ALREADY_CHOSEN:
             learned.append((op.resp, op.result))
-            legal = legal and kind is _WRITE and op.result != op.arg
-        elif status is _STATUS_EMPTY and kind is _READ:
+            legal = legal and kind is WRITE and op.result != op.arg
+        elif status is STATUS_EMPTY and kind is READ:
             empty_reads.append(op)
         else:
             legal = False
@@ -215,22 +209,21 @@ def _is_prefix(a: List[str], b: List[str]) -> bool:
 def _read_sequences(ops, verdict: Verdict):
     """Yields (read, its update sequence) for each answered read, in order.
     Reads of one value share one decoded list, which no caller changes. At a
-    read whose value is not an append-log payload, marks `verdict` not
-    checkable and stops."""
+    read whose value is not an append-log payload, flags `verdict`
+    NotCheckable and stops."""
     empty: List[str] = []
     decoded: Dict[Optional[Value], Optional[List[str]]] = {}
     for op in ops:
-        if op.kind is _READ and op.resp is not None:
-            if op.status is _STATUS_EMPTY:
+        if op.kind is READ and op.resp is not None:
+            if op.status is STATUS_EMPTY:
                 yield op, empty
-            elif op.status is _DONE:
+            elif op.status is DONE:
                 value = op.result
                 if value in decoded:
                     seq = decoded[value]
                 else:
                     seq = decoded[value] = sequence_of(value)
                 if seq is None:
-                    verdict.checkable = False
                     verdict.flag("NotCheckable", "read value is not an append-log payload")
                     return
                 yield op, seq
@@ -282,7 +275,7 @@ def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
         first.setdefault(token, pos)
         last[token] = pos
 
-    submitted = {op.token for op in ops if op.kind is _WRITE and op.token}
+    submitted = {op.token for op in ops if op.kind is WRITE and op.token}
     stray_at = min((pos for token, pos in first.items() if token not in submitted),
                    default=len(longest))
     for op, seq in reads:
@@ -304,7 +297,7 @@ def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
     # CS-Update-Visibility: a read holds the first position in `S` of every
     # update completed before it was invoked (a token missing from `S` sits at
     # its end).
-    completed = [op for op in ops if op.kind is _WRITE and op.status is _DONE]
+    completed = [op for op in ops if op.kind is WRITE and op.status is DONE]
     for op, seq, (pos, token) in _best_before(
         [(w, first.get(w.token, len(longest)), w.token) for w in completed], reads
     ):
@@ -330,7 +323,7 @@ def _sweep_sequence(ops, reads, verdict: Verdict) -> bool:
 def _pairwise_sequence(ops, reads, verdict: Verdict) -> None:
     """The five properties by comparing every pair of reads, and every read
     with every pair of completed updates."""
-    submitted = {op.token for op in ops if op.kind is _WRITE and op.token}
+    submitted = {op.token for op in ops if op.kind is WRITE and op.token}
     for op, seq in reads:
         stray = set(seq) - submitted
         if stray:
@@ -357,7 +350,7 @@ def _pairwise_sequence(ops, reads, verdict: Verdict) -> None:
                     )
 
     completed = [
-        op for op in ops if op.kind is _WRITE and op.status is _DONE
+        op for op in ops if op.kind is WRITE and op.status is DONE
     ]
     for w in completed:
         for op, seq in reads:
@@ -489,7 +482,7 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
                 ))
         elif kind is ClientResponseEv:
             if (
-                ev.status in (_DONE, _ALREADY_CHOSEN)
+                ev.status in (DONE, ALREADY_CHOSEN)
                 and not ev.value.empty
                 and (ev.key, ev.value) not in learnable
             ):

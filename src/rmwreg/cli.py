@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import FrozenSet, List, Optional, Tuple
 
 from . import checker, kv
-from .core import ALL_MUTATIONS, Config, Mode, Value
-from .messages import ReqKind
+from .core import ALL_MUTATIONS, RMW, WRITE_ONCE, Config, Mode, Value
+from .messages import READ, WRITE
 from .sim import (
     PROPOSER_BASE,
     ClientInvokeEv,
@@ -37,10 +37,6 @@ from .sim import (
     run_workload,
 )
 from .trace import read_trace, write_trace
-
-
-def _parse_mode(s: str) -> Mode:
-    return Mode(s)
 
 
 def _parse_seeds(s: str) -> range:
@@ -73,30 +69,21 @@ def _parse_addresses(s: str) -> List[Tuple[str, int]]:
 # ---------------------------------------------------------------------------
 # workload scripts
 
-# Enum members bound once for the two functions every fuzz seed calls: on
-# Python 3.10 and 3.11 each `ReqKind.READ`-style lookup in a function takes
-# the enum metaclass's slow `__getattr__` hook (see `rmwreg.messages`).
-_READ = ReqKind.READ
-_WRITE = ReqKind.WRITE
-_WRITE_ONCE = Mode.WRITE_ONCE
-_RMW = Mode.RMW
-
-
 def default_scripts(mode: Mode, n_clients: int = 3) -> List[ClientScript]:
     scripts = []
     for c in range(n_clients):
-        if mode is _WRITE_ONCE:
+        if mode is WRITE_ONCE:
             ops = (
-                OpSpec(_READ),
-                OpSpec(_WRITE, cmd=kv.SetCmd(f"v{c}")),
-                OpSpec(_READ),
+                OpSpec(READ),
+                OpSpec(WRITE, cmd=kv.SetCmd(f"v{c}")),
+                OpSpec(READ),
             )
         else:
             ops = (
-                OpSpec(_WRITE, make_cmd=kv.append_token),
-                OpSpec(_READ),
-                OpSpec(_WRITE, make_cmd=kv.append_token),
-                OpSpec(_READ),
+                OpSpec(WRITE, make_cmd=kv.append_token),
+                OpSpec(READ),
+                OpSpec(WRITE, make_cmd=kv.append_token),
+                OpSpec(READ),
             )
         scripts.append(ClientScript(client=c, proposer=PROPOSER_BASE + c, ops=ops))
     return scripts
@@ -105,13 +92,13 @@ def default_scripts(mode: Mode, n_clients: int = 3) -> List[ClientScript]:
 def _op_from_json(rec: dict) -> OpSpec:
     op = rec["op"]
     if op == "read":
-        return OpSpec(ReqKind.READ)
+        return OpSpec(READ)
     if op == "append":
-        return OpSpec(ReqKind.WRITE, make_cmd=kv.append_token)
+        return OpSpec(WRITE, make_cmd=kv.append_token)
     if op == "set":
-        return OpSpec(ReqKind.WRITE, cmd=kv.SetCmd(rec["value"]))
+        return OpSpec(WRITE, cmd=kv.SetCmd(rec["value"]))
     if op == "add":
-        return OpSpec(ReqKind.WRITE, cmd=kv.AddCmd(rec["delta"]))
+        return OpSpec(WRITE, cmd=kv.AddCmd(rec["delta"]))
     raise ValueError(f"unknown scripted op {op!r}")
 
 
@@ -151,7 +138,7 @@ def load_scripts(path: str) -> Tuple[List[ClientScript], tuple]:
 def check_result(mode: Mode, result, n_acceptors: int) -> checker.Verdict:
     verdict = checker.Verdict()
     for key, history in result.histories.items():
-        if mode is _WRITE_ONCE:
+        if mode is WRITE_ONCE:
             verdict.merge(checker.check_write_once(history))
         else:
             # Sequence checks read update order off append-log tokens, so
@@ -159,7 +146,7 @@ def check_result(mode: Mode, result, n_acceptors: int) -> checker.Verdict:
             tokened = any(e.kind == "invoke" and e.token for e in history)
             if tokened:
                 verdict.merge(checker.check_sequence(history))
-                if mode is _RMW:
+                if mode is RMW:
                     verdict.merge(checker.check_exactly_once(history))
     verdict.merge(checker.audit_propositions(result.trace, n_acceptors))
     return verdict
@@ -186,7 +173,7 @@ def _fuzz_sim_config(args, seed: int, scripts, fixed_crash) -> SimConfig:
 
 
 def cmd_fuzz(args) -> int:
-    mode = _parse_mode(args.mode)
+    mode = Mode(args.mode)
     mutations = frozenset(args.mutate or [])
     seeds = args.seeds
     # Bad input is reported before the first seed runs.
@@ -364,7 +351,7 @@ def cmd_client(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     client = NetClient(addresses[args.connect], retries=args.retries)
-    facade = client.facade(_parse_mode(args.mode))
+    facade = client.facade(Mode(args.mode))
     key = args.key.encode()
     try:
         if cmd is None:
@@ -397,7 +384,7 @@ def _protocol_config(args, n_acceptors: int, mutations: FrozenSet[str] = frozens
     """The `Config` of `n_acceptors` that the protocol flags give."""
     return Config(
         n_acceptors=n_acceptors,
-        register_mode=_parse_mode(args.mode),
+        register_mode=Mode(args.mode),
         read_retry_limit=args.retries,
         batch_interval=args.batch_interval,
         mutations=mutations,

@@ -193,6 +193,10 @@ class Mode(enum.Enum):
     RMW = "rmw"
 
 
+# Bound once, as `messages` binds its enums' members (see there).
+WRITE_ONCE, SEQUENCE, RMW = Mode.WRITE_ONCE, Mode.SEQUENCE, Mode.RMW
+
+
 # Protocol fault hooks, used only to validate the checker suite. Each name
 # disables one safety-relevant step in the proposer or acceptor.
 MUT_VOTE_BELOW_PROMISE = "vote_below_promise"

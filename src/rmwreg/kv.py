@@ -34,11 +34,6 @@ def from_payload(value: Value) -> Any:
         raise CommandError(f"register holds non-JSON payload: {exc}") from exc
 
 
-def _elem_sort_key(elem: Any) -> str:
-    # Stable order for heterogeneous set members keeps payloads canonical.
-    return _encode(elem)
-
-
 # ---------------------------------------------------------------------------
 # command algebra
 
@@ -115,7 +110,9 @@ class SetInsertCmd(KvCommand):
         members = _as_list(value, "set_insert")
         if self.elem in members:
             return None
-        return to_payload(sorted(members + [self.elem], key=_elem_sort_key))
+        # Members sort by their encoding, a stable order for mixed types that
+        # keeps payloads canonical.
+        return to_payload(sorted(members + [self.elem], key=_encode))
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def decode_command(data: bytes) -> KvCommand:
         args = rec["args"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CommandError(f"malformed command encoding: {exc}") from exc
-    if op not in _COMMANDS:
+    if not isinstance(op, str) or op not in _COMMANDS:
         raise CommandError(f"unknown command op {op!r}")
     cls, arity = _COMMANDS[op]
     if not isinstance(args, list) or len(args) != arity:
@@ -214,6 +211,8 @@ class KvFacade:
             return ("done", from_payload(value))
         if status is Status.NOOP:
             return ("noop", None)
+        if status is Status.ALREADY_CHOSEN:  # write-once: another literal was chosen
+            return ("already_chosen", from_payload(value))
         if status is Status.ERROR:  # the replica could not apply the command
             raise CommandError(value.payload.decode("utf-8", "replace"))
         if status is Status.UNAVAILABLE:
@@ -233,11 +232,11 @@ class SimDriver:
     step the world until its record closes. An op not admitted, or still open
     when the world idles or its step budget runs out, answers UNAVAILABLE."""
 
-    def __init__(self, config, sim_config, proposer_pid: Optional[int] = None):
+    def __init__(self, config, sim_config):
         from .sim import PROPOSER_BASE, ClientScript, World
 
-        pid = PROPOSER_BASE if proposer_pid is None else proposer_pid
-        self.world = World(config, sim_config, [ClientScript(client=0, proposer=pid, ops=())])
+        script = ClientScript(client=0, proposer=PROPOSER_BASE, ops=())
+        self.world = World(config, sim_config, [script])
         self.seq = 0
 
     def submit(self, key: bytes, kind: ReqKind, cmd: Optional[UpdateCommand]):

@@ -26,11 +26,13 @@ golden history digest pin their reprs. But on Python 3.10 and 3.11 the enum
 metaclass defines `__getattr__`, which sends every member lookup such as
 `ReqKind.READ` through the slow attribute hook: 107 ns on 3.11.7, where a
 module global costs 9 ns, and a simulated read made 13 of them. So the
-simulator, proposer, acceptor, quorum, checker and socket modules, and the
-`cli` functions a fuzz seed calls, bind the members they use to private
-module constants at import (`_READ = ReqKind.READ`) and load no enum class
-in a function (`tests/test_sim.py::test_hot_paths_load_no_enum_class`). From
-3.12 the metaclass has no `__getattr__`, and the lookup costs 27-29 ns.
+members are bound once, as names of this module (`READ`, `WRITE`, `DONE`,
+`STATUS_EMPTY`, ...; `core` binds `Mode`'s), and the simulator, proposer,
+acceptor, checker, socket and `cli` modules import the names they use
+instead of looking members up: no function of theirs, and none of their
+module-level code, loads an enum class
+(`tests/test_sim.py::test_hot_paths_load_no_enum_class`). From 3.12 the
+metaclass has no `__getattr__`, and the lookup costs 27-29 ns.
 """
 from __future__ import annotations
 
@@ -52,6 +54,9 @@ class Ticket(FrozenTuple, namedtuple("Ticket", "request instance")):
 class ReqKind(enum.Enum):
     READ = 0
     WRITE = 1
+
+
+READ, WRITE = ReqKind.READ, ReqKind.WRITE
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,11 @@ class Status(enum.Enum):
     ALREADY_CHOSEN = 3
     UNAVAILABLE = 4
     ERROR = 5
+
+
+# `STATUS_EMPTY`, since `EMPTY` is the empty `core.Value`.
+DONE, STATUS_EMPTY, NOOP = Status.DONE, Status.EMPTY, Status.NOOP
+ALREADY_CHOSEN, UNAVAILABLE, ERROR = Status.ALREADY_CHOSEN, Status.UNAVAILABLE, Status.ERROR
 
 
 @dataclass(slots=True)

@@ -39,12 +39,14 @@ import socket
 import threading
 import time
 from collections import deque
+from selectors import EVENT_READ, EVENT_WRITE
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from . import codec
 from .core import EMPTY, PROPOSER_BASE, Config, UpdateCommand, Value
 from .kv import KvFacade, decode_command
-from .messages import ClientReply, ClientRequest, Reply, ReqKind, Send, SetTimer, Status
+from .messages import (ERROR, UNAVAILABLE, WRITE, ClientReply, ClientRequest, Reply, ReqKind, Send,
+                       SetTimer)
 from .acceptor import ACCEPTOR_MESSAGES, Acceptor
 from .proposer import Proposer
 
@@ -56,20 +58,6 @@ RECV_BYTES = 65536
 # Unsent bytes after which a connection is closed: a client or peer that
 # stops reading. A healthy run leaves a few hundred bytes per turn.
 OUTBUF_MAX = 4 << 20
-
-READ = selectors.EVENT_READ
-WRITE = selectors.EVENT_WRITE
-
-# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.WRITE`-style
-# lookup in a function takes the enum metaclass's slow `__getattr__` hook
-# (see `rmwreg.messages`).
-_REQ_WRITE = ReqKind.WRITE  # `WRITE` is the selector event
-_ERROR = Status.ERROR
-_UNAVAILABLE = Status.UNAVAILABLE
-
-
-def proposer_pid(index: int) -> int:
-    return PROPOSER_BASE + index
 
 
 class _Conn:
@@ -109,7 +97,7 @@ class _Loop:
         # start() and stop() write a byte here to end a select() that would wait on.
         self.waker, self.wake_end = socket.socketpair()
         self.wake_end.setblocking(False)
-        self.selector.register(self.waker, READ)
+        self.selector.register(self.waker, EVENT_READ)
         self.timers: List[tuple] = []  # heap of (deadline, seq, replica, token)
         self.timer_seq = itertools.count()
         self.replicas: List[Replica] = []  # those whose listener is registered
@@ -212,7 +200,7 @@ class Replica:
         self.addresses = addresses
         self.config = config
         self.acceptor = Acceptor(index, config)
-        self.proposer = Proposer(proposer_pid(index), config, random.Random(index))
+        self.proposer = Proposer(PROPOSER_BASE + index, config, random.Random(index))
         self.local: Deque = deque()  # messages to this replica's own roles
         self.accepted: Dict[socket.socket, _Conn] = {}  # from clients and peers
         self.peers: Dict[int, _Conn] = {}  # outbound connections by replica
@@ -259,7 +247,7 @@ class Replica:
 
     def _attach(self) -> None:
         self.on_loop = True
-        self.loop.selector.register(self.listener, READ, self)
+        self.loop.selector.register(self.listener, EVENT_READ, self)
         self.loop.replicas.append(self)
 
     def _detach(self) -> None:
@@ -306,9 +294,9 @@ class Replica:
             sock, _ = self.listener.accept()
         except OSError:
             return
-        conn = _Conn(sock, self, None, READ)
+        conn = _Conn(sock, self, None, EVENT_READ)
         self.accepted[sock] = conn
-        self.loop.selector.register(sock, READ, conn)
+        self.loop.selector.register(sock, EVENT_READ, conn)
 
     def _on_ready(self, conn: _Conn, events: int) -> None:
         if conn.connecting:
@@ -319,9 +307,9 @@ class Replica:
             self.reconnect.pop(conn.peer, None)
             self._write(conn)
             return
-        if events & READ:
+        if events & EVENT_READ:
             self._read(conn)
-        if events & WRITE and not conn.closed:
+        if events & EVENT_WRITE and not conn.closed:
             self._write(conn)
 
     def _read(self, conn: _Conn) -> None:
@@ -357,7 +345,7 @@ class Replica:
             if len(conn.outbuf) > OUTBUF_MAX:  # it has stopped reading
                 self._close(conn)
                 return
-        events = READ | WRITE if conn.outbuf else READ
+        events = EVENT_READ | EVENT_WRITE if conn.outbuf else EVENT_READ
         if events != conn.events:
             conn.events = events
             self.loop.selector.modify(conn.sock, events, conn)
@@ -391,9 +379,9 @@ class Replica:
         except OSError:  # an unresolvable name, or no descriptor left
             self._back_off(target)
             return None
-        conn = _Conn(sock, self, target, READ | WRITE)
+        conn = _Conn(sock, self, target, EVENT_READ | EVENT_WRITE)
         self.peers[target] = conn
-        self.loop.selector.register(conn.sock, READ | WRITE, conn)
+        self.loop.selector.register(conn.sock, EVENT_READ | EVENT_WRITE, conn)
         if conn.sock.connect_ex(address) not in (0, errno.EINPROGRESS):
             self._close(conn)
             return None
@@ -434,11 +422,11 @@ class Replica:
 
     def _handle_client(self, req: ClientRequest, conn) -> None:
         cmd: Optional[UpdateCommand] = None
-        if req.kind is _REQ_WRITE:
+        if req.kind is WRITE:
             try:
                 cmd = decode_command(req.command)
             except Exception as exc:
-                reply = ClientReply(_ERROR, Value(str(exc).encode()), req.client_seq)
+                reply = ClientReply(ERROR, Value(str(exc).encode()), req.client_seq)
                 self._reply(conn, reply)
                 return
         effects = self.proposer.submit(req.key, req.kind, cmd, conn, req.client_seq)
@@ -513,7 +501,7 @@ class NetClient:
                 self.close()
                 if sent and not resend:
                     break
-        return _UNAVAILABLE, EMPTY
+        return UNAVAILABLE, EMPTY
 
     def facade(self, mode) -> KvFacade:
         return KvFacade(self.submit, mode)

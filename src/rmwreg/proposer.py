@@ -26,9 +26,10 @@ from .core import (
     MUT_REUSE_ROUND,
     MUT_SKIP_WRITE_THROUGH,
     MUT_SUB_QUORUM,
+    RMW,
+    WRITE_ONCE,
     CommandError,
     Config,
-    Mode,
     ProcessId,
     ReqID,
     Round,
@@ -39,6 +40,13 @@ from .core import (
     round_sort_key,
 )
 from .messages import (  # the effects are re-exported for callers of this module
+    ALREADY_CHOSEN,
+    DONE,
+    ERROR,
+    NOOP,
+    READ,
+    STATUS_EMPTY,
+    WRITE,
     Ack,
     Effect,
     Learned,
@@ -67,20 +75,6 @@ _JITTER_BITS = _JITTER_SPAN.bit_length()
 # Builds a `Ticket` or `Round` from the tuple of its fields without the
 # namedtuple's Python `__new__` (see `rmwreg.core`).
 _tuple_new = tuple.__new__
-
-# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
-# lookup in a function takes the enum metaclass's slow `__getattr__` hook
-# (see `rmwreg.messages`).
-_READ = ReqKind.READ
-_WRITE = ReqKind.WRITE
-_WRITE_ONCE = Mode.WRITE_ONCE
-_RMW = Mode.RMW
-_DONE = Status.DONE
-_STATUS_EMPTY = Status.EMPTY  # `EMPTY` is the empty `Value`
-_NOOP = Status.NOOP
-_ALREADY_CHOSEN = Status.ALREADY_CHOSEN
-_ERROR = Status.ERROR
-
 
 # Like the messages and effects, `FastToken` is a slotted record built on
 # the hot path: unhashable, and never reassigned after construction
@@ -130,7 +124,9 @@ class Request:
 
     A read's `read_pool` holds its replies of every attempt, classified as
     they arrive; it is built on the read's first Ack. `voters` is built when
-    an instance proposes, and only read while it has a `proposal`."""
+    an instance proposes, and only counted while it has a `proposal`; it
+    stays set after, so it is not None once some instance of the request
+    reached phase 2."""
 
     rid: int
     key: bytes
@@ -149,7 +145,6 @@ class Request:
     retry_count: int = 0
     prev_rounds: Optional[tuple] = None
     escalated: bool = False  # read forced onto the write path
-    proposed: bool = False  # some instance of this request reached phase 2
     learned: bool = False  # an RMW write's LEARNED notice arrived
     backoff: int = 0
 
@@ -191,13 +186,13 @@ class Proposer:
         """Admit one client request. Writes carry an update command; a
         write-once write is admitted as `SetIfEmpty` of the literal it gives
         on the empty register, or answered now if it gives none."""
-        if kind is _WRITE and self.config.register_mode is _WRITE_ONCE:
+        if kind is WRITE and self.config.register_mode is WRITE_ONCE:
             try:
                 literal = apply_command(cmd, EMPTY)
             except CommandError as exc:
-                return [Reply(client, _ERROR, Value(str(exc).encode()), client_seq)]
+                return [Reply(client, ERROR, Value(str(exc).encode()), client_seq)]
             if literal is None:
-                return [Reply(client, _NOOP, EMPTY, client_seq)]
+                return [Reply(client, NOOP, EMPTY, client_seq)]
             cmd = SetIfEmpty(literal)
         entry = (cmd, client, client_seq)
         if self.config.batch_interval > 0:
@@ -213,7 +208,7 @@ class Proposer:
         req = Request(rid, key, kind, waiting)
         # Request ids drive the exactly-once machinery, which exists only in
         # RMW mode; the other modes never emit LEARNED.
-        if kind is _WRITE and self.config.register_mode is _RMW:
+        if kind is WRITE and self.config.register_mode is RMW:
             req.reqid = ReqID(self.pid, self.next_seq)
             self.next_seq += 1
             self.open_writes[req.reqid] = req
@@ -221,14 +216,14 @@ class Proposer:
         return req
 
     def _start(self, req: Request) -> List[Effect]:
-        if req.kind is _WRITE:
+        if req.kind is WRITE:
             token = self.fast.get(req.key)
             if token is not None:
                 return self._fast_write(req, token)
         return self._broadcast_prepare(req)
 
     def _broadcast_prepare(self, req: Request) -> List[Effect]:
-        kind = _WRITE if (req.kind is _WRITE or req.escalated) else _READ
+        kind = WRITE if (req.kind is WRITE or req.escalated) else READ
         ticket = _tuple_new(Ticket, (req.rid, req.instance))
         return self._broadcast(req, Prepare(req.key, self.pid, kind, ticket))
 
@@ -275,7 +270,7 @@ class Proposer:
         if req is None:
             return []
         current = ack.ticket.instance == req.instance and req.proposal is None
-        if req.kind is _READ:
+        if req.kind is READ:
             pool = req.read_pool
             if pool is None:
                 pool = req.read_pool = ReadPool(self.quorum)
@@ -341,9 +336,9 @@ class Proposer:
         batch timer may have fired in the crash window, so whatever is
         batched starts now."""
         self.fast.clear()
-        if self.config.register_mode is _RMW:
+        if self.config.register_mode is RMW:
             for req in list(self.open_writes.values()):
-                if req.proposed:
+                if req.voters is not None:
                     self._evict(req)
         return self._flush_batches()
 
@@ -366,7 +361,7 @@ class Proposer:
             ticket = _tuple_new(Ticket, (req.rid, req.instance))
             prep = PaxosPrep(req.key, self.pid, token[3], ticket)
             return self._broadcast(req, prep)
-        if req.kind is _READ and not req.escalated and len(req.acks) >= self.quorum:
+        if req.kind is READ and not req.escalated and len(req.acks) >= self.quorum:
             # A quorum answered without agreeing and the rest stayed silent:
             # a read retry, counted against the budget, not a blind restart.
             return self._read_retry(req)
@@ -386,9 +381,9 @@ class Proposer:
         retries; a reply to an earlier attempt only adds to the pool."""
         pool = req.read_pool
         if pool.chosen is not None:
-            return self._finish(req, _DONE, pool.chosen[0])
+            return self._finish(req, DONE, pool.chosen[0])
         if pool.empty:
-            return self._finish(req, _STATUS_EMPTY, EMPTY)
+            return self._finish(req, STATUS_EMPTY, EMPTY)
         if not current or len(req.acks) < self.config.n_acceptors:
             return []
         return self._read_retry(req)
@@ -419,36 +414,30 @@ class Proposer:
         if outcome is None:
             return self._retry_explicit(req)
         if type(outcome) is ValueChosen:
-            base, base_req = outcome.value, outcome.req
-            settled = self._settled(req, base, base_req)
-            if settled is not None:
-                return settled
-            return self._propose_successor(req, outcome.successor, base, base_req)
-        wt = outcome.write_through
-        if wt is None or MUT_SKIP_WRITE_THROUGH in self.config.mutations:
-            return self._on_fresh(req, outcome.round)
-        self.stats.write_throughs += 1
-        return self._propose(req, outcome.round, wt.val, wt.req, None, writethrough=True)
-
-    def _on_fresh(self, req: Request, round: Round) -> List[Effect]:
-        if req.escalated:
-            # A consistent, fully unvoted quorum: nothing was ever chosen,
-            # so the read may return empty without proposing anything.
-            return self._finish(req, _STATUS_EMPTY, EMPTY)
-        if req.learned:
-            return self._finish(req, _DONE, EMPTY)
-        return self._propose_successor(req, round, EMPTY, None)
+            base, base_req, round = outcome.value, outcome.req, outcome.successor
+        elif MUT_SKIP_WRITE_THROUGH in self.config.mutations:
+            # The fault: the newest vote is ignored, as if nothing was chosen.
+            base, base_req, round = EMPTY, None, outcome.round
+        else:
+            wt = outcome.write_through
+            self.stats.write_throughs += 1
+            return self._propose(req, outcome.round, wt.val, wt.req, None, writethrough=True)
+        settled = self._settled(req, base, base_req)
+        if settled is not None:
+            return settled
+        return self._propose_successor(req, round, base, base_req)
 
     def _settled(
         self, req: Request, chosen: Value, chosen_req: Optional[ReqID]
     ) -> Optional[List[Effect]]:
         """Finish `req` when the chosen value already answers it: an
-        escalated read, or an RMW write whose command is in it. None: the
-        request still has commands to apply."""
+        escalated read (EMPTY when the value is the empty one), or an RMW
+        write whose command is in it. None: the request still has commands
+        to apply."""
         if req.escalated:
-            return self._finish(req, _DONE, chosen)
+            return self._finish(req, STATUS_EMPTY if chosen.empty else DONE, chosen)
         if req.reqid is not None and (chosen_req == req.reqid or req.learned):
-            return self._finish(req, _DONE, chosen)
+            return self._finish(req, DONE, chosen)
         return None
 
     def _propose_successor(
@@ -486,15 +475,15 @@ class Proposer:
             try:
                 result = apply_command(cmd, current)
             except CommandError as exc:
-                reply = Reply(client, _ERROR, Value(str(exc).encode()), seq)
+                reply = Reply(client, ERROR, Value(str(exc).encode()), seq)
             else:
                 if result is not None:
                     kept.append(entry)
                     current = value = result
                     continue
-                status = _NOOP
+                status = NOOP
                 if type(cmd) is SetIfEmpty:
-                    status = _DONE if cmd.literal == current else _ALREADY_CHOSEN
+                    status = DONE if cmd.literal == current else ALREADY_CHOSEN
                 reply = Reply(client, status, current, seq)
             if value is None:
                 replies.append(reply)
@@ -514,7 +503,6 @@ class Proposer:
         req_prev: Optional[ReqID],
         writethrough: bool = False,
     ) -> List[Effect]:
-        req.proposed = True
         req.voters = set()
         req.writethrough = writethrough
         ticket = _tuple_new(Ticket, (req.rid, req.instance))
@@ -534,7 +522,7 @@ class Proposer:
         if settled is not None:
             return settled
         if not req.writethrough:  # a sequence register's own proposal
-            return self._finish(req, _DONE, chosen)
+            return self._finish(req, DONE, chosen)
         # A write-through only consolidates someone's unfinished consensus;
         # the client's own command still has to be processed.
         return self._fast_write(req, token)

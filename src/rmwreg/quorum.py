@@ -2,11 +2,13 @@
 
 `classify` looks once at a write's quorum of phase-1 replies, one per
 acceptor, and says what the proposer does next: the previous consensus is
-finished (`ValueChosen`: propose its successor), a promise is held
-(`ReadyToPropose`: write the newest vote through, or propose afresh), or
-the quorum is contended (None: retry with an explicit round). The outcomes
-are slotted records, like the messages: one is built per classification,
-and none is reassigned after construction.
+finished (`ValueChosen`: propose its successor), a promise is held over an
+unfinished vote (`ReadyToPropose`: write the newest vote through), or the
+quorum is contended (None: retry with an explicit round). A quorum that
+never voted holds the initial cell, which acts as the empty value decided
+in round 0: with a common promise it is `ValueChosen` of `EMPTY`. The
+outcomes are slotted records, like the messages: one is built per
+classification, and none is reassigned after construction.
 
 Reads pool their replies across attempts instead. A `ReadPool` classifies
 each reply as it arrives, at a cost that does not grow with the pool:
@@ -41,10 +43,11 @@ def quorum_size(n: int) -> int:
 
 @dataclass(slots=True)
 class ValueChosen:
-    """The quorum voted one value in one round: that consensus is finished.
-    `req` is the quorum's common request id (None when the ids differ), and
-    `successor` the common promise when every reply incremented it, so the
-    next proposal may use it (None: retry with an explicit round)."""
+    """The quorum voted one value in one round, or never voted and holds a
+    common promise: that consensus is finished. `req` is the quorum's
+    common request id (None when the ids differ), and `successor` the
+    common promise when every reply incremented it, so the next proposal
+    may use it (None: retry with an explicit round)."""
 
     value: Value
     req: Optional[ReqID]
@@ -55,10 +58,10 @@ class ValueChosen:
 class ReadyToPropose:
     """Every reply incremented the same promise, `round`. `write_through` is
     the reply with the newest vote, whose unfinished consensus must be
-    written through first, or None when the quorum never voted."""
+    written through first."""
 
     round: Round
-    write_through: Optional[Ack]
+    write_through: Ack
 
 
 def classify(replies: Collection[Ack]) -> Union[ValueChosen, ReadyToPropose, None]:
@@ -72,7 +75,8 @@ def classify(replies: Collection[Ack]) -> Union[ValueChosen, ReadyToPropose, Non
     r_ack = first.r_ack
     successor = r_ack if all(r.incremented and r.r_ack == r_ack for r in replies) else None
     r_voted, val = first.r_voted, first.val
-    if r_voted != ROUND_ZERO and all(r.r_voted == r_voted and r.val == val for r in replies):
+    voted_alike = all(r.r_voted == r_voted and r.val == val for r in replies)
+    if voted_alike and (r_voted != ROUND_ZERO or successor is not None):
         req = first.req
         return ValueChosen(val, req if all(r.req == req for r in replies) else None, successor)
     if successor is None:
@@ -81,7 +85,7 @@ def classify(replies: Collection[Ack]) -> Union[ValueChosen, ReadyToPropose, Non
     # rounds go to the largest sender. Either choice is value-irrelevant in
     # reachable states (one value per round number), but keeps runs replayable.
     newest = max(replies, key=lambda r: (round_sort_key(r.r_voted), r.src))
-    return ReadyToPropose(successor, None if newest.r_voted == ROUND_ZERO else newest)
+    return ReadyToPropose(successor, newest)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .acceptor import INITIAL_STATE, Acceptor
 from .checker import HistoryEvent
-from .core import (EMPTY, PROPOSER_BASE, CommandError, Config, Mode, ProcessId, UpdateCommand,
-                   apply_command, randbelow)
-from .messages import Reply, ReqKind, Send, SetTimer
+from .core import (EMPTY, PROPOSER_BASE, RMW, WRITE_ONCE, CommandError, Config, ProcessId,
+                   UpdateCommand, apply_command, randbelow)
+from .messages import WRITE, Reply, ReqKind, Send, SetTimer
 from .proposer import Proposer
 from .trace import (  # the JSONL serializers are re-exported for callers of this module
     ClientInvokeEv,
@@ -48,14 +48,6 @@ from .trace import (  # the JSONL serializers are re-exported for callers of thi
     trace_from_jsonl,
     trace_to_jsonl,
 )
-
-# Enum members bound once: on Python 3.10 and 3.11 each `ReqKind.READ`-style
-# lookup in a function takes the enum metaclass's slow `__getattr__` hook
-# (see `rmwreg.messages`).
-_WRITE = ReqKind.WRITE
-_WRITE_ONCE = Mode.WRITE_ONCE
-_RMW = Mode.RMW
-
 
 # ---------------------------------------------------------------------------
 # configuration and workload scripts
@@ -123,13 +115,15 @@ class _ClientState:
 
 class World:
     def __init__(self, config: Config, sim: SimConfig, scripts: Sequence[ClientScript]):
-        if config.register_mode is _RMW and not sim.fifo:
+        if config.register_mode is RMW and not sim.fifo:
             raise ValueError("RMW mode requires reliable FIFO links")
         if sim.max_delay < 1:  # `randbelow` draws a delay, and below 1 loops forever
             raise ValueError(f"max_delay must be at least 1 tick, got {sim.max_delay}")
         for name, p in (("drop", sim.drop), ("dup", sim.dup)):
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
+            if p and sim.fifo:
+                raise ValueError(f"FIFO links neither lose nor duplicate, got {name}={p}")
         self.config = config
         self.sim = sim
         self.rng = random.Random(sim.seed)
@@ -267,7 +261,7 @@ class World:
         spec = script.ops[op_index % len(script.ops)]
         token: Optional[str] = None
         cmd = spec.cmd
-        if spec.kind is _WRITE and spec.make_cmd is not None:
+        if spec.kind is WRITE and spec.make_cmd is not None:
             token = f"{client}.{op_index}"
             cmd = spec.make_cmd(token)
         self.submit(client, script.key, spec.kind, cmd, op_index, token)
@@ -283,7 +277,7 @@ class World:
         """
         cs = self.clients[client]
         value = None
-        if kind is _WRITE and self.config.register_mode is _WRITE_ONCE:
+        if kind is WRITE and self.config.register_mode is WRITE_ONCE:
             try:
                 value = apply_command(cmd, EMPTY)
             except CommandError:

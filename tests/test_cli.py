@@ -206,6 +206,8 @@ MISSING = "missing"  # as `script`: --script names a file that does not exist
                  "drop must be a probability in [0, 1], got 1.5", id="drop-above-1"),
     pytest.param(["--mode", "sequence", "--no-fifo", "--dup", "-0.1"], None,
                  "dup must be a probability in [0, 1], got -0.1", id="dup-below-0"),
+    pytest.param(["--mode", "sequence", "--drop", "0.9"], None,
+                 "FIFO links neither lose nor duplicate, got drop=0.9", id="fifo-with-drop"),
     pytest.param(["--max-steps", "0"], None, "--max-steps must be at least 1, got 0",
                  id="max-steps-0"),
     pytest.param([], MISSING, "No such file or directory", id="script-missing"),

@@ -122,6 +122,8 @@ def test_decode_command_rejects_garbage():
         kv.decode_command(b'{"op": "explode", "args": []}')
     with pytest.raises(CommandError):
         kv.decode_command(b'{"op": "set", "args": []}')
+    with pytest.raises(CommandError):
+        kv.decode_command(b'{"op": ["x"], "args": []}')
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,14 @@ def test_update_that_fails_to_apply_raises_and_keeps_the_value():
         f.update(KEY, kv.decode_command(b'{"op": "add", "args": ["x"]}'))
     assert f.get(KEY) == "abc"
     assert f.update(KEY, kv.SetCmd(1)) == ("done", 1)
+
+
+def test_write_once_update_of_a_chosen_register_reports_the_chosen_value():
+    f = driver(Mode.WRITE_ONCE).facade()
+    assert f.update(KEY, kv.SetCmd("a")) == ("done", "a")
+    assert f.update(KEY, kv.SetCmd("b")) == ("already_chosen", "a")
+    assert f.update(KEY, kv.SetCmd("a")) == ("done", "a")
+    assert f.put(KEY, "c") == "a"
 
 
 def test_mode_error_for_non_idempotent_in_sequence_mode():

@@ -774,7 +774,7 @@ def test_write_abandoned_on_recover_is_evicted():
     net._absorb(net.proposer.submit(b"k", ReqKind.WRITE, appender("a"), 0, 0))
     while net.queue and not isinstance(net.queue[0].msg, Vote):  # phase 1 only
         net.deliver(net.queue.popleft())
-    assert net.queue and net.proposer.requests[0].proposed
+    assert net.queue and net.proposer.requests[0].voters is not None
     net.queue.clear()  # the votes are lost in the crash
     assert net.proposer.on_recover() == []
     assert net.proposer.requests == {}

@@ -65,7 +65,7 @@ def test_classify_unvoted_quorum_retries_when_nothing_incremented():
 
 def test_classify_fresh_ready():
     r = Round(6, 9)
-    assert classify([ack(i, r_ack=r) for i in range(3)]) == ReadyToPropose(r, None)
+    assert classify([ack(i, r_ack=r) for i in range(3)]) == ValueChosen(EMPTY, None, r)
 
 
 def test_classify_write_through():
@@ -145,12 +145,10 @@ def _reference_classify(replies):
         (successor,) = acks
     if len(voted_rounds) == 1 and len(vals) == 1:
         (rv,), (val,) = voted_rounds, vals
-        if rv != ROUND_ZERO:
+        if rv != ROUND_ZERO or successor is not None:
             return ValueChosen(val, reqs.pop() if len(reqs) == 1 else None, successor)
     if successor is None:
         return None
-    if voted_rounds == {ROUND_ZERO}:
-        return ReadyToPropose(successor, None)
     best = max(replies, key=lambda r: ((r.r_voted.n,
                                         -1 if r.r_voted.id is None else r.r_voted.id),
                                        r.src))
