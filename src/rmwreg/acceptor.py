@@ -84,9 +84,10 @@ class Acceptor:
         self.cells[key] = state
         return [Send(msg.src, self._ack(key, msg.ticket, state, True))]
 
-    # The two handlers below test `core.round_compare`'s LESS and EQUAL
+    # The two handlers below test the partial order's LESS and EQUAL
     # directly on the fields: LESS is `n <`, EQUAL is equality of the
-    # (n, id) tuples.
+    # (n, id) tuples. The reference order, `round_compare` in
+    # `tests/reference.py`, is what the tests check them against.
 
     def handle_prepare_explicit(self, msg: PaxosPrep) -> List[Send]:
         key = msg.key

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -90,16 +91,18 @@ def default_scripts(mode: Mode, n_clients: int = 3) -> List[ClientScript]:
 
 
 def _op_from_json(rec: dict) -> OpSpec:
+    """`read`, a tokened `append`, or any other kv command with its fields
+    named as its class names them. No fixed-element append is offered: the
+    sequence checkers would read its element as an unsubmitted token."""
     op = rec["op"]
     if op == "read":
         return OpSpec(READ)
     if op == "append":
         return OpSpec(WRITE, make_cmd=kv.append_token)
-    if op == "set":
-        return OpSpec(WRITE, cmd=kv.SetCmd(rec["value"]))
-    if op == "add":
-        return OpSpec(WRITE, cmd=kv.AddCmd(rec["delta"]))
-    raise ValueError(f"unknown scripted op {op!r}")
+    cls = kv.COMMANDS.get(op)
+    if cls is None:
+        raise ValueError(f"unknown scripted op {op!r}")
+    return OpSpec(WRITE, cmd=cls(*(rec[f.name] for f in fields(cls))))
 
 
 def load_scripts(path: str) -> Tuple[List[ClientScript], tuple]:
@@ -192,6 +195,7 @@ def cmd_fuzz(args) -> int:
         return 2
 
     verdicts = {}
+    out_of_steps = []  # seeds whose checkers saw only the first --max-steps steps
     first_counterexample: Optional[str] = None
     started = time.monotonic()
     for seed in seeds:
@@ -199,6 +203,8 @@ def cmd_fuzz(args) -> int:
         result = run_workload(config, sim, scripts)
         verdict = check_result(mode, result, args.replicas)
         verdicts[seed] = verdict
+        if not result.quiescent:
+            out_of_steps.append(seed)
         if not verdict.ok and first_counterexample is None and args.trace_out:
             path = Path(args.trace_out)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -224,18 +230,20 @@ def cmd_fuzz(args) -> int:
                 str(s): "ok" if v.ok else [f"{x.prop}: {x.detail}" for x in v.violations]
                 for s, v in verdicts.items()
             },
+            "out_of_steps": out_of_steps,
             "first_counterexample": first_counterexample,
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
 
     elapsed = time.monotonic() - started
-    print(f"{len(verdicts)} seeds, {len(failing)} with violations ({elapsed:.1f}s)")
+    print(f"{len(verdicts)} seeds, {len(failing)} with violations, "
+          f"{len(out_of_steps)} out of steps ({elapsed:.1f}s)")
     for seed, verdict in list(failing.items())[:10]:
         for v in verdict.violations[:3]:
             print(f"  seed {seed}: {v.prop}: {v.detail}")
     if first_counterexample:
         print(f"first counterexample trace: {first_counterexample}")
-    return 1 if failing else 0
+    return 1 if failing or out_of_steps else 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +268,10 @@ def cmd_replay(args) -> int:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return 2
 
-    sends = {}
+    sends = {}  # a delivery, drop or duplicate follows its send
     for ev in trace:
         if isinstance(ev, SendEv):
             sends[ev.idx] = ev
-    for ev in trace:
-        if isinstance(ev, SendEv):
             print(
                 f"[{ev.tick:>5}] send    #{ev.idx} {ev.src}->{ev.dst} "
                 f"{type(ev.msg).__name__} depth={ev.depth}"
@@ -431,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--connect", type=int, default=0, help="replica index to contact")
     client.add_argument("--retries", type=int, default=3)
     client.add_argument("--key", default="r")
-    client.add_argument("op", choices=["get", "set", "cas", "add", "set_insert",
-                                       "set_remove", "append"])
+    client.add_argument("op", choices=["get", *kv.COMMANDS])
     client.add_argument("args", nargs="*", help="JSON-encoded operands")
     client.set_defaults(fn=cmd_client, parser_error=client.error)
     return parser

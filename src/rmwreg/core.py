@@ -38,13 +38,6 @@ ProcessId = int
 PROPOSER_BASE = 1000
 
 
-class Ordering(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
 def _unordered(op: str):
     def compare(self, other):
         raise TypeError(f"'{op}' not supported between instances of "
@@ -80,17 +73,6 @@ class Round(FrozenTuple, namedtuple("Round", "n id", defaults=(None,))):
 
 
 ROUND_ZERO = Round(0, None)
-
-
-def round_compare(r1: Round, r2: Round) -> Ordering:
-    """Partial order on rounds: ordered by n, equal only on identical pairs."""
-    if r1.n < r2.n:
-        return Ordering.LESS
-    if r1.n > r2.n:
-        return Ordering.GREATER
-    if r1.id == r2.id:
-        return Ordering.EQUAL
-    return Ordering.INCOMPARABLE
 
 
 def round_sort_key(r: Round) -> tuple:

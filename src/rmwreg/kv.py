@@ -137,10 +137,9 @@ class AppendCmd(KvCommand):
         return to_payload(_as_list(value, "append") + [self.elem])
 
 
-# op -> (command class, arity)
-_COMMANDS = {
-    cls.op: (cls, len(fields(cls)))
-    for cls in (SetCmd, CasCmd, AddCmd, SetInsertCmd, SetRemoveCmd, AppendCmd)
+# op -> command class; its dataclass fields are its arguments
+COMMANDS = {
+    cls.op: cls for cls in (SetCmd, CasCmd, AddCmd, SetInsertCmd, SetRemoveCmd, AppendCmd)
 }
 
 
@@ -151,9 +150,10 @@ def decode_command(data: bytes) -> KvCommand:
         args = rec["args"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CommandError(f"malformed command encoding: {exc}") from exc
-    if not isinstance(op, str) or op not in _COMMANDS:
+    if not isinstance(op, str) or op not in COMMANDS:
         raise CommandError(f"unknown command op {op!r}")
-    cls, arity = _COMMANDS[op]
+    cls = COMMANDS[op]
+    arity = len(fields(cls))
     if not isinstance(args, list) or len(args) != arity:
         raise CommandError(f"{op} expects {arity} argument(s)")
     return cls(*args)
@@ -255,5 +255,5 @@ class SimDriver:
             return Status.UNAVAILABLE, EMPTY
         return last.status, last.value
 
-    def facade(self, mode: Optional[Mode] = None) -> KvFacade:
-        return KvFacade(self.submit, mode or self.world.config.register_mode)
+    def facade(self) -> KvFacade:
+        return KvFacade(self.submit, self.world.config.register_mode)

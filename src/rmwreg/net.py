@@ -393,11 +393,8 @@ class Replica:
         conn.outbuf += data
         self.dirty.add(conn)
 
-    def _replica_of(self, pid: int) -> int:
-        return pid - PROPOSER_BASE if pid >= PROPOSER_BASE else pid
-
     def _send_peer(self, pid: int, msg) -> None:
-        target = self._replica_of(pid)
+        target = pid - PROPOSER_BASE if pid >= PROPOSER_BASE else pid
         if target == self.index:
             self.local.append(msg)
             return

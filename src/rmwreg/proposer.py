@@ -104,8 +104,9 @@ class SetIfEmpty(UpdateCommand):
         return self.literal if value.empty else None
 
 
-# (command, client, client_seq) of a client still owed an answer; a read's command is None
-Waiting = Tuple[Optional[UpdateCommand], object, int]
+# (command, client, client_seq, held reply) of a client still owed an
+# answer; a read's command is None, and only `_apply_commands` holds a reply.
+Waiting = Tuple[Optional[UpdateCommand], object, int, Optional[Reply]]
 
 
 @dataclass(slots=True)
@@ -114,13 +115,11 @@ class Request:
     protocol attempt state. A read is one with `kind` READ, escalated or
     not. `waiting` holds the clients not yet answered, in admission order;
     each answer takes its entry out, so no client is answered twice and no
-    answered command is applied again. An instance is in phase 1 until it
-    proposes (`proposal` set); an evicted request has nobody waiting.
-
-    `held` pairs a position in `waiting` with the NOOP or ERROR reply of a
-    command that met a value an earlier command of the batch made. The
-    reply goes out when the proposal is chosen; a new attempt applies the
-    command again. `held` outlives `_reset_instance` until the next apply.
+    answered command is applied again. An entry's held reply is the NOOP or
+    ERROR of a command that met a value its batch made: `_finish` sends it
+    once the proposal is chosen, and the next apply replaces it. An instance
+    is in phase 1 until it proposes (`proposal` set); an evicted request has
+    nobody waiting.
 
     A read's `read_pool` holds its replies of every attempt, classified as
     they arrive; it is built on the read's first Ack. `voters` is built when
@@ -133,7 +132,6 @@ class Request:
     kind: ReqKind
     waiting: List[Waiting]
     reqid: Optional[ReqID] = None
-    held: Optional[List[Tuple[int, Reply]]] = None
 
     instance: int = 0
     acks: Dict[ProcessId, Ack] = field(default_factory=dict)
@@ -159,12 +157,11 @@ class ProposerStats:
 
 
 class Proposer:
-    def __init__(self, pid: ProcessId, config: Config, rng: Optional[random.Random] = None):
+    def __init__(self, pid: ProcessId, config: Config, rng: random.Random):
         self.pid = pid
         self.config = config
-        self.rng = rng or random.Random(pid)
+        self.rng = rng
         self.requests: Dict[int, Request] = {}  # open requests; done ones are evicted
-        self.open_writes: Dict[ReqID, Request] = {}  # open RMW writes by ReqID
         self.next_rid = 0
         self.next_seq = 0  # ReqID counter; never reused, survives recovery
         self.fast: Dict[bytes, FastToken] = {}
@@ -194,7 +191,7 @@ class Proposer:
             if literal is None:
                 return [Reply(client, NOOP, EMPTY, client_seq)]
             cmd = SetIfEmpty(literal)
-        entry = (cmd, client, client_seq)
+        entry = (cmd, client, client_seq, None)
         if self.config.batch_interval > 0:
             timer = [] if self.batched else [SetTimer(self.config.batch_interval, ("batch",))]
             self.batched.setdefault((kind, key), []).append(entry)
@@ -211,7 +208,6 @@ class Proposer:
         if kind is WRITE and self.config.register_mode is RMW:
             req.reqid = ReqID(self.pid, self.next_seq)
             self.next_seq += 1
-            self.open_writes[req.reqid] = req
         self.requests[rid] = req
         return req
 
@@ -319,9 +315,10 @@ class Proposer:
         # Only record the fact. LEARNED does not say which of this request's
         # proposals was chosen, so the reply value has to come from a later
         # phase-1 quorum; `_settled` finishes the request from there.
-        req = self.open_writes.get(learned.req)
-        if req is not None:
-            req.learned = True
+        for req in self.requests.values():
+            if req.reqid == learned.req:
+                req.learned = True
+                break
         return []
 
     def on_recover(self) -> List[Effect]:
@@ -337,8 +334,8 @@ class Proposer:
         batched starts now."""
         self.fast.clear()
         if self.config.register_mode is RMW:
-            for req in list(self.open_writes.values()):
-                if req.voters is not None:
+            for req in list(self.requests.values()):
+                if req.reqid is not None and req.voters is not None:
                     self._evict(req)
         return self._flush_batches()
 
@@ -462,23 +459,21 @@ class Proposer:
         `SetIfEmpty` DONE when it met its own literal, else ALREADY_CHOSEN)
         and one that fails ERROR, against the value it met. An answer on
         `base` is returned and its entry leaves `waiting`; one on a value of
-        this batch stays in `waiting` and goes to `held` until the proposal
-        is chosen. Returns the value to propose (None when no command
-        changed anything) and the answers on `base`."""
+        this batch is held in its entry until the proposal is chosen, and a
+        new attempt applies the command again. Returns the value to propose
+        (None when no command changed anything) and the answers on `base`."""
         current = base
         value = None
         replies: List[Effect] = []
         kept: List[Waiting] = []
-        held = []
-        for entry in req.waiting:
-            cmd, client, seq = entry
+        for cmd, client, seq, _ in req.waiting:
             try:
                 result = apply_command(cmd, current)
             except CommandError as exc:
                 reply = Reply(client, ERROR, Value(str(exc).encode()), seq)
             else:
                 if result is not None:
-                    kept.append(entry)
+                    kept.append((cmd, client, seq, None))
                     current = value = result
                     continue
                 status = NOOP
@@ -488,10 +483,8 @@ class Proposer:
             if value is None:
                 replies.append(reply)
             else:
-                held.append((len(kept), reply))
-                kept.append(entry)
+                kept.append((cmd, client, seq, reply))
         req.waiting = kept
-        req.held = held
         return value, replies
 
     def _propose(
@@ -554,13 +547,11 @@ class Proposer:
         if len(waiting) == 1:
             # A held reply follows a command that changed the value, so a
             # lone client has none.
-            _, client, seq = waiting[0]
+            _, client, seq, _ = waiting[0]
             effects = [Reply(client, status, value, seq)]
         else:
-            effects = [Reply(client, status, value, seq) for _, client, seq in waiting]
-            if req.held:
-                for i, reply in req.held:
-                    effects[i] = reply
+            effects = [held or Reply(client, status, value, seq)
+                       for _, client, seq, held in waiting]
         self._evict(req)
         return effects
 
@@ -569,8 +560,6 @@ class Proposer:
         # find nothing and are ignored, and nobody waits on it any more.
         req.waiting = []
         self.requests.pop(req.rid, None)
-        if req.reqid is not None:
-            self.open_writes.pop(req.reqid, None)
 
     # -- batching --------------------------------------------------------------
 

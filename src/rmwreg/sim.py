@@ -133,12 +133,24 @@ class World:
         self.proposers: Dict[ProcessId, Proposer] = {}
         self.clients: Dict[int, _ClientState] = {}
         for script in scripts:
-            if not script.ops and script.loop_until is not None:
-                raise ValueError(f"client {script.client} loops until tick "
-                                 f"{script.loop_until} over an empty op list")
-            if script.client in self.clients:
-                raise ValueError(f"client {script.client} has two scripts")
-            self.clients[script.client] = _ClientState(script)
+            # Plain type tests: a storm world checks 65 scripts per build.
+            client, think, loop_until = script.client, script.think, script.loop_until
+            if type(script.start_tick) is not int or type(think) is not int:
+                raise ValueError(f"client {client}'s start_tick and think must be ints, "
+                                 f"got {script.start_tick!r} and {think!r}")
+            if think < 0:  # its next op would be due before the current tick
+                raise ValueError(f"client {client}'s think must be non-negative, got {think}")
+            if loop_until is not None and type(loop_until) is not int:
+                raise ValueError(f"client {client}'s loop_until must be an int, got {loop_until!r}")
+            if type(script.proposer) is not int or script.proposer < config.n_acceptors:
+                raise ValueError(f"client {client}'s proposer pid {script.proposer!r} is not "
+                                 f"an int above the acceptor pids 0..{config.n_acceptors - 1}")
+            if not script.ops and loop_until is not None:
+                raise ValueError(f"client {client} loops until tick "
+                                 f"{loop_until} over an empty op list")
+            if client in self.clients:
+                raise ValueError(f"client {client} has two scripts")
+            self.clients[client] = _ClientState(script)
             if script.proposer not in self.proposers:
                 self.proposers[script.proposer] = Proposer(
                     script.proposer, config, random.Random(f"{sim.seed}/{script.proposer}")
@@ -158,6 +170,8 @@ class World:
         for tick, pid, action in sim.crash_plan:
             if action not in ("crash", "recover"):
                 raise ValueError(f"crash plan action must be 'crash' or 'recover', got {action!r}")
+            if type(tick) is not int:
+                raise ValueError(f"crash plan tick must be an int, got {tick!r}")
             self._push(tick, (action, pid))
 
     # -- scheduling ----------------------------------------------------------
@@ -420,16 +434,3 @@ def run_workload(
     world = World(config, sim, scripts)
     quiescent = world.run()
     return SimResult(world.trace, world.histories, quiescent, world)
-
-
-# ---------------------------------------------------------------------------
-# message-delay accounting
-
-
-def count_message_delays(trace: Sequence[object], client: int, op_index: int) -> int:
-    """Length of the longest causal message chain between a request's
-    invocation and its response."""
-    for ev in trace:
-        if isinstance(ev, ClientResponseEv) and ev.client == client and ev.op_index == op_index:
-            return ev.depth
-    raise ValueError(f"request {client}/{op_index} did not complete in this trace")

@@ -28,11 +28,11 @@ from rmwreg.sim import (
     ClientScript,
     OpSpec,
     SimConfig,
-    count_message_delays,
     random_crash_plan,
     run_workload,
     trace_to_jsonl,
 )
+from reference import count_message_delays
 
 W = OpSpec(ReqKind.WRITE, make_cmd=kv.append_token)
 R = OpSpec(ReqKind.READ)
@@ -70,9 +70,11 @@ def run_mutated(mutation: str, mode: Mode, unreliable: bool, seed: int):
 def test_criterion_1_write_once_safety_fuzz():
     """10,000 unreliable-network seeds across N in {3, 5} with acceptor
     crashes and duelling proposers: the write-once register never violates
-    nontriviality, stability, consistency, or linearizability, and every
-    trace passes the audit of Propositions 1-3 and the acceptor invariants."""
+    nontriviality, stability, consistency, or linearizability, every trace
+    passes the audit of Propositions 1-3 and the acceptor invariants, and
+    every seed reaches quiescence."""
     bad = []
+    stuck = []
     total = 0
     for n_acceptors in (3, 5):
         f = (n_acceptors - 1) // 2
@@ -88,17 +90,21 @@ def test_criterion_1_write_once_safety_fuzz():
             verdict = check_result(Mode.WRITE_ONCE, result, n_acceptors)
             if not verdict.ok:
                 bad.append((n_acceptors, seed, verdict.violations))
-    ok = _verdict_line(1, not bad, f"{total} write-once seeds, {len(bad)} violations")
-    assert ok, bad[:3]
+            if not result.quiescent:  # the duel did not end within the step budget
+                stuck.append((n_acceptors, seed))
+    ok = _verdict_line(1, not bad and not stuck, f"{total} write-once seeds, {len(bad)} "
+                       f"violations, {len(stuck)} not quiescent")
+    assert ok, (bad[:3], stuck[:3])
 
 
 def test_criterion_2_sequence_and_rmw_safety_fuzz():
     """10,000 FIFO seeds split across sequence and RMW modes with duels,
     acceptor crashes, and proposer mid-request failures: zero violations of
-    the sequence properties, zero exactly-once violations under RMW, and
-    every trace passes the audit of Propositions 1-3 and the acceptor
-    invariants."""
+    the sequence properties, zero exactly-once violations under RMW, every
+    trace passes the audit of Propositions 1-3 and the acceptor invariants,
+    and every seed reaches quiescence."""
     bad = []
+    stuck = []
     total = 0
     for mode in (Mode.SEQUENCE, Mode.RMW):
         config = Config(n_acceptors=3, register_mode=mode)
@@ -115,8 +121,11 @@ def test_criterion_2_sequence_and_rmw_safety_fuzz():
             verdict = check_result(mode, result, 3)
             if not verdict.ok:
                 bad.append((mode, seed, verdict.violations))
-    ok = _verdict_line(2, not bad, f"{total} sequence/RMW seeds, {len(bad)} violations")
-    assert ok, bad[:3]
+            if not result.quiescent:  # the duel did not end within the step budget
+                stuck.append((mode, seed))
+    ok = _verdict_line(2, not bad and not stuck, f"{total} sequence/RMW seeds, {len(bad)} "
+                       f"violations, {len(stuck)} not quiescent")
+    assert ok, (bad[:3], stuck[:3])
 
 
 def test_criterion_3_duplicate_witness_fixed_by_rmw():

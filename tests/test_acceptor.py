@@ -8,12 +8,10 @@ from rmwreg.core import (
     EMPTY,
     MUT_VOTE_BELOW_PROMISE,
     Config,
-    Ordering,
     ReqID,
     ROUND_ZERO,
     Round,
     Value,
-    round_compare,
 )
 from rmwreg.messages import (
     Ack,
@@ -27,6 +25,7 @@ from rmwreg.messages import (
     Vote,
     Voted,
 )
+from reference import Ordering, round_compare
 
 KEY = b"k"
 T = Ticket(0, 0)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from rmwreg import checker, kv
 from rmwreg.acceptor import INITIAL_STATE, AcceptorState
 from rmwreg.checker import HistoryEvent, check_exactly_once, check_sequence, check_write_once, sequence_of
-from rmwreg.core import EMPTY, Config, Mode, Ordering, ReqID, Round, Value, round_compare
+from rmwreg.core import EMPTY, Config, Mode, ReqID, Round, Value
 from rmwreg.messages import ReqKind, Status, Vote, Voted
 from rmwreg.quorum import quorum_size
 from rmwreg.sim import (ClientScript, OpSpec, PROPOSER_BASE, SimConfig, random_crash_plan,
                         run_workload)
 from rmwreg.trace import ClientResponseEv, SendEv, StateSnapshotEv
+from reference import Ordering, round_compare
 
 
 def seq_value(*tokens):

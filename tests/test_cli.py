@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import rmwreg
-from rmwreg.cli import check_result, default_scripts, main
+from rmwreg import kv
+from rmwreg.cli import check_result, default_scripts, load_scripts, main
 from rmwreg.core import Config, Mode
+from rmwreg.messages import Status
 from rmwreg.sim import SimConfig, run_workload, trace_to_jsonl
 
 
@@ -92,6 +94,35 @@ def test_fuzz_script_append_ops_are_checked(tmp_path, capsys):
     verdicts = json.loads(report.read_text())["verdicts"].values()
     assert any(v.startswith("CS-Update-Visibility") for found in verdicts if found != "ok"
                for v in found)
+
+
+def test_fuzz_script_mixes_kv_commands(tmp_path, capsys):
+    """Every kv command is scriptable by its field names: a set, a cas on
+    its value and a read run clean in RMW mode, and the read sees the cas."""
+    script = tmp_path / "w.json"
+    script.write_text(json.dumps({"clients": [{"client": 0, "ops": [
+        {"op": "set", "value": 1}, {"op": "cas", "expect": 1, "new": 2}, {"op": "read"}]}]}))
+    rc = main(["fuzz", "--mode", "rmw", "--seeds", "0:3", "--script", str(script)])
+    assert rc == 0
+    assert "3 seeds, 0 with violations, 0 out of steps" in capsys.readouterr().out
+    scripts, crash_plan = load_scripts(str(script))
+    assert scripts[0].ops[1].cmd == kv.CasCmd(1, 2)
+    res = run_workload(Config(n_acceptors=3, register_mode=Mode.RMW),
+                       SimConfig(seed=0, crash_plan=crash_plan), scripts)
+    assert [(e.status, e.value) for e in res.histories[b"r"] if e.kind == "respond"] == [
+        (Status.DONE, kv.to_payload(1)), (Status.DONE, kv.to_payload(2)),
+        (Status.DONE, kv.to_payload(2))]
+
+
+def test_fuzz_seed_out_of_steps_is_not_clean(tmp_path, capsys):
+    """A seed cut by --max-steps was checked on a prefix only: it is
+    counted, listed in the report, and fails the campaign."""
+    report = tmp_path / "r.json"
+    rc = main(["fuzz", "--mode", "sequence", "--seeds", "0:2", "--max-steps", "5",
+               "--report", str(report)])
+    assert rc == 1
+    assert "2 seeds, 0 with violations, 2 out of steps" in capsys.readouterr().out
+    assert json.loads(report.read_text())["out_of_steps"] == [0, 1]
 
 
 def test_replay_renders_duplicates_crashes_and_recoveries(tmp_path, capsys):
@@ -226,6 +257,17 @@ MISSING = "missing"  # as `script`: --script names a file that does not exist
     pytest.param([], "not json{", "not JSON: Expecting value", id="script-not-json"),
     pytest.param([], {"clients": 5}, "malformed: 'int' object is not iterable",
                  id="script-clients-not-a-list"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}]}],
+                      "crash_plan": [["x", 0, "crash"]]},
+                 "crash plan tick must be an int, got 'x'", id="script-crash-tick-not-int"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}], "start_tick": "5"}]},
+                 "client 0's start_tick and think must be ints, got '5' and 0",
+                 id="script-start-tick-not-int"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}] * 2, "think": -30}]},
+                 "client 0's think must be non-negative, got -30", id="script-negative-think"),
+    pytest.param([], {"clients": [{"client": 0, "ops": [{"op": "read"}], "proposer": -1000}]},
+                 "client 0's proposer pid 0 is not an int above the acceptor pids 0..2",
+                 id="script-proposer-is-an-acceptor"),
 ])
 def test_bad_fuzz_input_exits_2_before_any_seed(tmp_path, capsys, argv, script, message):
     if script is not None:

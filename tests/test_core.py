@@ -13,17 +13,16 @@ from rmwreg.core import (
     Config,
     FnCommand,
     Mode,
-    Ordering,
     ROUND_ZERO,
     ReqID,
     Round,
     Value,
     apply_command,
-    round_compare,
     round_sort_key,
 )
 from rmwreg import codec
 from rmwreg.messages import Ticket
+from reference import Ordering, round_compare
 
 rounds = st.builds(
     Round,

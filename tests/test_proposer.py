@@ -752,7 +752,6 @@ def test_finished_requests_are_evicted():
     net.submit(b"k", ReqKind.READ, seq=1)
     assert [r.status for r in net.replies] == [Status.DONE, Status.DONE]
     assert net.proposer.requests == {}
-    assert net.proposer.open_writes == {}
 
 
 def test_late_messages_for_an_evicted_request_do_nothing():
@@ -778,7 +777,6 @@ def test_write_abandoned_on_recover_is_evicted():
     net.queue.clear()  # the votes are lost in the crash
     assert net.proposer.on_recover() == []
     assert net.proposer.requests == {}
-    assert net.proposer.open_writes == {}
     assert net.proposer.on_message(Learned(b"k", 0, ReqID(net.proposer.pid, 0))) == []
     net.fire_timers()
     assert net.replies == [] and net.queue == deque()

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rmwreg.core import EMPTY, Ordering, ReqID, ROUND_ZERO, Round, Value, round_compare
+from rmwreg.core import EMPTY, ReqID, ROUND_ZERO, Round, Value
 from rmwreg.messages import Ack, Ticket
 from rmwreg.quorum import (
     ConfigurationError,
@@ -13,6 +13,7 @@ from rmwreg.quorum import (
     find_empty_in_pool,
     quorum_size,
 )
+from reference import Ordering, round_compare
 
 TICKET = Ticket(0, 0)
 

@@ -23,13 +23,13 @@ from rmwreg.sim import (
     SendEv,
     SimConfig,
     World,
-    count_message_delays,
     random_crash_plan,
     run_workload,
     trace_from_jsonl,
     trace_to_jsonl,
 )
 from rmwreg.trace import read_trace, write_trace
+from reference import count_message_delays
 
 
 # sha256 over trace_to_jsonl for the seed set in test_golden_trace_digest.
@@ -88,7 +88,7 @@ def test_proposer_draws_the_randint_stream():
     for seed in range(4):
         p = proposer.Proposer(1000, cfg, random.Random(seed))
         ref = random.Random(seed)
-        req = p._new_request(b"k", ReqKind.WRITE, [(kv.AddCmd(1), 0, 0)])
+        req = p._new_request(b"k", ReqKind.WRITE, [(kv.AddCmd(1), 0, 0, None)])
         for i in range(400):
             timer = p._arm_timer(req)
             assert timer.delay == proposer.REQUEST_TIMEOUT_TICKS + ref.randint(0, 30)
