@@ -32,7 +32,7 @@ from .core import Value
 from .messages import (ALREADY_CHOSEN, DONE, READ, STATUS_EMPTY, WRITE, ReqKind, Status, Vote,
                        Voted)
 from .quorum import quorum_size
-from .trace import ClientResponseEv, SendEv, StateSnapshotEv
+from .trace import rows_of
 
 @dataclass(slots=True)
 class HistoryEvent:
@@ -431,12 +431,13 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
             epochs[value] = len(seq) if seq is not None else None
         return epochs[value]
 
-    # No trace event or message class is subclassed, so `type()` decides
-    # exactly, at less cost than `isinstance`.
-    for idx, ev in enumerate(trace):
-        kind = type(ev)
-        if kind is SendEv:
-            msg = ev.msg
+    # The rows of a `Trace` are read as they are; a list of records is
+    # turned into rows as the walk goes. No message class is subclassed, so
+    # `type()` decides exactly, at less cost than `isinstance`.
+    for idx, row in enumerate(rows_of(trace)):
+        kind = row[0]
+        if kind == "send":
+            msg = row[5]  # ("send", idx, tick, src, dst, msg, depth)
             mkind = type(msg)
             if mkind is Voted:
                 ident = (msg.key, msg.round, msg.value)
@@ -461,16 +462,17 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
                 ep = epoch(msg.value)
                 if ep is not None:
                     proposed_in.setdefault((msg.key, ep), []).append((msg.round, msg.value))
-        elif kind is StateSnapshotEv:
-            cell = (ev.pid, ev.key)
+        elif kind == "snapshot":
+            _, _, pid, key, state = row
+            cell = (pid, key)
             prev = last.get(cell, INITIAL_STATE)
-            state = last[cell] = ev.state
+            last[cell] = state
             promised, r_ack = prev.r_ack, state.r_ack
             # r_ack may only grow: to a higher number, or stay the same round.
             if promised.n >= r_ack.n and promised != r_ack:
                 cells.append(Violation(
                     "promise-monotonicity",
-                    f"acceptor {ev.pid} r_ack went from {promised} to {r_ack}",
+                    f"acceptor {pid} r_ack went from {promised} to {r_ack}",
                 ))
             # A vote was cast; it must match the promise in force. A cell that
             # kept its vote mostly keeps the same `Round` object too.
@@ -478,16 +480,14 @@ def audit_propositions(trace, n_acceptors: int) -> Verdict:
             if voted is not prev.r_voted and voted != prev.r_voted and voted != promised:
                 cells.append(Violation(
                     "vote-safety",
-                    f"acceptor {ev.pid} voted in {voted} while promised {promised}",
+                    f"acceptor {pid} voted in {voted} while promised {promised}",
                 ))
-        elif kind is ClientResponseEv:
-            if (
-                ev.status in (DONE, ALREADY_CHOSEN)
-                and not ev.value.empty
-                and (ev.key, ev.value) not in learnable
-            ):
+        elif kind == "response":
+            _, _, _, _, key, status, value, _ = row
+            if (status in (DONE, ALREADY_CHOSEN) and not value.empty
+                    and (key, value) not in learnable):
                 p1.append(Violation(
-                    "P1", f"value {ev.value!r} learned at event {idx} without a prior voting quorum"
+                    "P1", f"value {value!r} learned at event {idx} without a prior voting quorum"
                 ))
 
     verdict = Verdict(p1)

@@ -71,6 +71,10 @@ REQUEST_TIMEOUT_TICKS = 60
 # `core.randbelow` of this span, drawn inline in `_arm_timer`.
 _JITTER_SPAN = REQUEST_TIMEOUT_TICKS // 2 + 1
 _JITTER_BITS = _JITTER_SPAN.bit_length()
+# At most this many fast-write tokens are kept; past it the oldest, in dict
+# order, is dropped, which costs only its key's next write the fast path.
+# Far above the key count of any simulated world or benchmark workload.
+FAST_TOKENS_MAX = 4096
 
 # Builds a `Ticket` or `Round` from the tuple of its fields without the
 # namedtuple's Python `__new__` (see `rmwreg.core`).
@@ -510,7 +514,10 @@ class Proposer:
         next_round = prop.round
         if MUT_REUSE_ROUND not in self.config.mutations:
             next_round = _tuple_new(Round, (next_round.n + 1, next_round.id))
-        token = self.fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
+        fast = self.fast
+        token = fast[req.key] = FastToken(next_round, chosen, prop.req_cur)
+        if len(fast) > FAST_TOKENS_MAX:
+            del fast[next(iter(fast))]
         settled = self._settled(req, chosen, prop.req_cur)
         if settled is not None:
             return settled

@@ -18,9 +18,11 @@ Picks and delays are drawn by `core.randbelow`, `randrange` rebuilt on
 so a seed gives the trace that `randrange`/`randint` calls would. A pick
 among one due event draws nothing.
 
-A `SendEv` is both the trace record of a send and the scheduler entry of
-its delivery: the bucket holds the record itself (twice for a duplicate).
-Timer, invoke, crash and recover entries are tuples tagged by kind.
+The trace is kept as rows, exact tuples tagged by their `trace.EVENTS`
+kind name (see `rmwreg.trace`); `World.trace` is a `trace.Trace` view over
+them. Scheduler entries are kind-tagged tuples too: a timer's, invoke's,
+crash's or recover's, and a send's row, which is also its delivery's entry
+(the bucket holds it twice for a duplicate).
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .core import (EMPTY, PROPOSER_BASE, RMW, WRITE_ONCE, CommandError, Config, 
                    UpdateCommand, apply_command, randbelow)
 from .messages import WRITE, Reply, ReqKind, Send, SetTimer
 from .proposer import Proposer
-from .trace import (  # the JSONL serializers are re-exported for callers of this module
+from .trace import (  # the records and JSONL serializers are re-exported for callers
     ClientInvokeEv,
     ClientResponseEv,
     CrashEv,
@@ -45,6 +47,7 @@ from .trace import (  # the JSONL serializers are re-exported for callers of thi
     RecoverEv,
     SendEv,
     StateSnapshotEv,
+    Trace,
     trace_from_jsonl,
     trace_to_jsonl,
 )
@@ -91,7 +94,7 @@ class ClientScript:
 
 @dataclass
 class SimResult:
-    trace: List[object]
+    trace: Trace
     histories: Dict[bytes, List[HistoryEvent]]
     quiescent: bool
     world: "World"
@@ -156,7 +159,8 @@ class World:
                     script.proposer, config, random.Random(f"{sim.seed}/{script.proposer}")
                 )
         self.down: set = set()
-        self.trace: List[object] = []
+        self.trace = Trace([])
+        self._trace_row = self.trace.rows.append
         self.histories: Dict[bytes, List[HistoryEvent]] = {}
         self.send_count = 0
         self.tick = 0
@@ -202,10 +206,10 @@ class World:
                 tick = self.tick
                 sim = self.sim
                 dst = eff.dst
-                ev = SendEv(idx, tick, pid, dst, eff.msg, depth + 1)
-                self.trace.append(ev)
+                row = ("send", idx, tick, pid, dst, eff.msg, depth + 1)
+                self._trace_row(row)
                 if not sim.fifo and self.rng.random() < sim.drop:
-                    self.trace.append(DropEv(tick, idx, "loss"))
+                    self._trace_row(("drop", tick, idx, "loss"))
                     continue
                 n = sim.max_delay
                 getrandbits = self._getrandbits  # randbelow(getrandbits, n), inline
@@ -222,13 +226,13 @@ class World:
                     self.fifo_last[pair] = due
                 bucket = self.buckets.get(due)
                 if bucket is None:
-                    self.buckets[due] = [ev]
+                    self.buckets[due] = [row]
                     heapq.heappush(self.due_ticks, due)
                 else:
-                    bucket.append(ev)
+                    bucket.append(row)
                 if not sim.fifo and self.rng.random() < sim.dup:
-                    self.trace.append(DuplicateEv(tick, idx))
-                    self._push(tick + 1 + randbelow(self._getrandbits, n), ev)
+                    self._trace_row(("duplicate", tick, idx))
+                    self._push(tick + 1 + randbelow(self._getrandbits, n), row)
             elif kind is SetTimer:
                 self._push(self.tick + eff.delay, ("timer", pid, eff.token))
             elif kind is Reply:
@@ -243,10 +247,8 @@ class World:
         if invoke is None:
             raise RuntimeError(f"client {client} op {reply.client_seq} answered twice")
         key = invoke.key
-        self.trace.append(
-            ClientResponseEv(
-                self.tick, client, reply.client_seq, key, reply.status, reply.value, depth
-            )
+        self._trace_row(
+            ("response", self.tick, client, reply.client_seq, key, reply.status, reply.value, depth)
         )
         self.histories[key].append(HistoryEvent(
             "respond", client, reply.client_seq, invoke.op, key, invoke.token, reply.value,
@@ -296,7 +298,7 @@ class World:
                 value = apply_command(cmd, EMPTY)
             except CommandError:
                 pass
-        self.trace.append(ClientInvokeEv(self.tick, client, op_index, key, kind, token))
+        self._trace_row(("invoke", self.tick, client, op_index, key, kind, token))
         invoke = HistoryEvent("invoke", client, op_index, kind, key, token, value, None, self.tick)
         history = self.histories.get(key)
         if history is None:
@@ -340,13 +342,13 @@ class World:
             entry = bucket.pop(r)
         self.tick = tick
         self.steps += 1
-        if type(entry) is SendEv:
-            dst = entry.dst
+        kind = entry[0]
+        if kind == "send":
+            _, idx, _, _, dst, msg, depth = entry
             if dst in self.down:
-                self.trace.append(DropEv(tick, entry.idx, "crashed"))
+                self._trace_row(("drop", tick, idx, "crashed"))
                 return True
-            self.trace.append(DeliverEv(tick, entry.idx))
-            msg = entry.msg
+            self._trace_row(("deliver", tick, idx))
             acceptor = self.acceptors.get(dst)
             if acceptor is not None:
                 key = msg.key
@@ -357,7 +359,7 @@ class World:
                 # Most messages leave the cell object in place; only a new one
                 # needs the field-by-field comparison.
                 if after is not before and after != before:
-                    self.trace.append(StateSnapshotEv(tick, dst, key, after))
+                    self._trace_row(("snapshot", tick, dst, key, after))
             else:
                 proposer = self.proposers.get(dst)
                 if proposer is None:
@@ -365,9 +367,8 @@ class World:
                 effects = proposer.on_message(msg)
                 if not effects:  # a late reply, or one short of a quorum
                     return True
-            self._apply_effects(dst, effects, entry.depth)
+            self._apply_effects(dst, effects, depth)
             return True
-        kind = entry[0]
         if kind == "timer":
             _, pid, token = entry
             if pid not in self.down:
@@ -378,11 +379,11 @@ class World:
             self._invoke(entry[1])
         elif kind == "crash":
             self.down.add(entry[1])
-            self.trace.append(CrashEv(self.tick, entry[1]))
+            self._trace_row(("crash", self.tick, entry[1]))
         elif kind == "recover":
             pid = entry[1]
             self.down.discard(pid)
-            self.trace.append(RecoverEv(self.tick, pid))
+            self._trace_row(("recover", self.tick, pid))
             if pid in self.proposers:
                 effects = self.proposers[pid].on_recover()
                 self._apply_effects(pid, effects, depth=0)

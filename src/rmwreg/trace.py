@@ -1,4 +1,19 @@
-"""Simulator trace events and their newline-delimited JSON form.
+"""Simulator trace events, the `Trace` view over them, and their
+newline-delimited JSON form.
+
+An event has two forms. The row form is what `sim.World` keeps: an exact
+tuple `(kind, *fields)`, where `kind` is the event's name in `EVENTS` and
+the fields follow its record class's field order, as in
+`("deliver", tick, send_idx)`. A row of ints and strings holds nothing the
+cyclic collector must walk, so after one collection it is untracked. The
+record form is one of the slotted classes below, built from a row only
+when a reader asks for it.
+
+`Trace` is a read-only sequence view over a list of rows: its length is
+the list's, and iterating, indexing and slicing build records. It compares
+equal to any sequence of equal records. Code on the fuzz path reads the
+rows themselves (`rows_of`): the trace audit and `write_trace` build no
+record.
 
 `EVENTS` is the only place an event's record form is stated. Its fields
 use the codec's field kinds, so a message inside a `send` record is its
@@ -15,10 +30,12 @@ neither holds the whole text besides the events.
 """
 from __future__ import annotations
 
+import collections.abc
 import io
 import json
 from dataclasses import dataclass, fields
-from typing import BinaryIO, Iterable, List, Optional, Sequence
+from operator import attrgetter, eq
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence
 
 from . import codec
 from .acceptor import AcceptorState
@@ -119,18 +136,73 @@ EVENTS = {
         {"key": codec.BYTES, "status": codec.STATUS, "value": codec.VALUE},
     ),
 }
-_BY_NAME = {
-    name: codec.record(cls, [(f.name, kinds.get(f.name, codec.U64)) for f in fields(cls)])
+_FIELDS = {  # kind name -> its (field name, codec kind) pairs, in row order
+    name: tuple((f.name, kinds.get(f.name, codec.U64)) for f in fields(cls))
     for name, (cls, kinds) in EVENTS.items()
 }
-_BY_CLASS = {cls: (name, _BY_NAME[name]) for name, (cls, _) in EVENTS.items()}
+_BY_NAME = {name: codec.record(cls, _FIELDS[name]) for name, (cls, _) in EVENTS.items()}
+_ROW_OF = {  # event type -> (its kind name, the getter of its fields in row order)
+    cls: (name, attrgetter(*(f for f, _ in _FIELDS[name]))) for name, (cls, _) in EVENTS.items()
+}
 
 
-def event_to_record(ev) -> dict:
-    if type(ev) not in _BY_CLASS:
+def row_of(ev) -> tuple:
+    """The row of the record `ev`."""
+    spec = _ROW_OF.get(type(ev))
+    if spec is None:
         raise TypeError(f"unknown trace event {ev!r}")
-    name, kind = _BY_CLASS[type(ev)]
-    return {"kind": name, **kind.to_json(ev)}
+    name, get = spec
+    return (name, *get(ev))
+
+
+def record_of(row: tuple):
+    """The record of the row `row`."""
+    return EVENTS[row[0]][0](*row[1:])
+
+
+def rows_of(trace: Iterable[object]) -> Iterable[tuple]:
+    """The rows of a `Trace` itself, or those of any other iterable of
+    records, built one at a time."""
+    if type(trace) is Trace:
+        return trace.rows
+    return map(row_of, trace)
+
+
+class Trace(collections.abc.Sequence):
+    """A read-only view over the rows `World` appends to: `len` is the
+    list's, and iterating, indexing and slicing build records. Equal to any
+    sequence of equal records, in either operand order."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: List[tuple]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [record_of(row) for row in self.rows[i]]
+        return record_of(self.rows[i])
+
+    def __iter__(self) -> Iterator[object]:
+        return map(record_of, self.rows)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Trace:
+            return self.rows == other.rows
+        if isinstance(other, collections.abc.Sequence):
+            return len(other) == len(self.rows) and all(map(eq, self, other))
+        return NotImplemented
+
+
+def _row_to_json(row: tuple) -> dict:
+    name = row[0]
+    rec = {"kind": name}
+    for (field, kind), x in zip(_FIELDS[name], row[1:]):
+        rec[field] = kind.to_json(x)
+    return rec
 
 
 def event_from_record(rec: dict):
@@ -141,10 +213,11 @@ def event_from_record(rec: dict):
 
 
 def write_trace(trace: Iterable[object], fp: BinaryIO) -> None:
-    """Writes `trace` to the binary file `fp`, one record per line."""
+    """Writes `trace`, a `Trace` or records, to the binary file `fp`, one
+    record per line."""
     encode = codec.canonical_json
-    for ev in trace:
-        fp.write((encode(event_to_record(ev)) + "\n").encode())
+    for row in rows_of(trace):
+        fp.write((encode(_row_to_json(row)) + "\n").encode())
 
 
 def read_trace(fp: BinaryIO) -> List[object]:

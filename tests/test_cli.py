@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -11,8 +12,9 @@ import rmwreg
 from rmwreg import kv
 from rmwreg.cli import check_result, default_scripts, load_scripts, main
 from rmwreg.core import Config, Mode
-from rmwreg.messages import Status
-from rmwreg.sim import SimConfig, run_workload, trace_to_jsonl
+from rmwreg.messages import ReqKind, Status
+from rmwreg.sim import (PROPOSER_BASE, ClientScript, OpSpec, SimConfig, run_workload,
+                        trace_to_jsonl)
 
 
 def test_fuzz_clean_campaign_exits_zero(capsys):
@@ -112,6 +114,34 @@ def test_fuzz_script_mixes_kv_commands(tmp_path, capsys):
     assert [(e.status, e.value) for e in res.histories[b"r"] if e.kind == "respond"] == [
         (Status.DONE, kv.to_payload(1)), (Status.DONE, kv.to_payload(2)),
         (Status.DONE, kv.to_payload(2))]
+
+
+def test_fuzz_script_appends_beside_other_commands_on_one_key(tmp_path, capsys):
+    """A key whose writes are not all appends holds values that are no
+    append log, so the sequence checkers skip it; the run is clean."""
+    script = tmp_path / "w.json"
+    script.write_text(json.dumps({"clients": [{"client": 0, "ops": [
+        {"op": "set", "value": 1}, {"op": "cas", "expect": 1, "new": 2}, {"op": "append"},
+        {"op": "read"}]}]}))
+    rc = main(["fuzz", "--mode", "rmw", "--seeds", "0:5", "--script", str(script)])
+    assert "5 seeds, 0 with violations, 0 out of steps" in capsys.readouterr().out
+    assert rc == 0
+
+
+@pytest.mark.parametrize("mode", [Mode.SEQUENCE, Mode.RMW])
+def test_corrupted_read_of_an_append_key_is_flagged(mode):
+    """On a key whose every write is a tokened append the sequence checkers
+    still run: a read answered with a value that is no append log is
+    flagged."""
+    scripts = [ClientScript(client=c, proposer=PROPOSER_BASE + c,
+                            ops=(OpSpec(ReqKind.WRITE, make_cmd=kv.append_token),
+                                 OpSpec(ReqKind.READ))) for c in range(2)]
+    res = run_workload(Config(n_acceptors=3, register_mode=mode), SimConfig(seed=0), scripts)
+    assert check_result(mode, res, 3).ok
+    history = res.history()
+    i = next(i for i, e in enumerate(history) if e.kind == "respond" and e.op is ReqKind.READ)
+    history[i] = dataclasses.replace(history[i], value=kv.to_payload(2))
+    assert {v.prop for v in check_result(mode, res, 3).violations} == {"NotCheckable"}
 
 
 def test_fuzz_seed_out_of_steps_is_not_clean(tmp_path, capsys):

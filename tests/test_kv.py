@@ -246,3 +246,23 @@ def test_sim_driver_answers_unavailable_when_its_step_budget_runs_out():
     assert d.submit(KEY, ReqKind.WRITE, kv.AddCmd(1)) == (Status.UNAVAILABLE, EMPTY)
     assert d.world.steps == 3
     assert 0 in d.world.clients[0].ops_meta  # admitted, still open
+
+
+def test_fast_token_table_is_bounded():
+    """A proposer keeps at most `FAST_TOKENS_MAX` fast-write tokens, however
+    many keys it writes; a write to a key whose token was dropped runs phase
+    1 and is answered DONE."""
+    from rmwreg.proposer import FAST_TOKENS_MAX
+
+    d = kv.SimDriver(Config(n_acceptors=3, register_mode=Mode.RMW),
+                     SimConfig(seed=1, fifo=True, max_steps=10**7))
+    facade = d.facade()
+    for i in range(20_000):
+        facade.put(b"k%d" % i, i)
+    [proposer] = d.world.proposers.values()
+    assert len(proposer.fast) <= FAST_TOKENS_MAX
+    assert b"k0" not in proposer.fast
+    assert d.submit(b"k0", ReqKind.WRITE, kv.SetCmd("again")) == (
+        Status.DONE, kv.to_payload("again"))
+    assert proposer.stats.fast_writes == 0  # every write, k0's too, ran phase 1
+    assert facade.get(b"k0") == "again"

@@ -1,5 +1,6 @@
 import dataclasses
 import dis
+import gc
 import hashlib
 import inspect
 import random
@@ -8,7 +9,7 @@ import types
 
 import pytest
 
-from rmwreg import acceptor, checker, cli, kv, messages, net, proposer, quorum, sim
+from rmwreg import acceptor, checker, cli, kv, messages, net, proposer, quorum, sim, trace
 from rmwreg.core import Config, Mode, ReqID, Round, Value, randbelow
 from rmwreg.messages import ReqKind, Status, Ticket
 from rmwreg.sim import (
@@ -28,7 +29,7 @@ from rmwreg.sim import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from rmwreg.trace import read_trace, write_trace
+from rmwreg.trace import EVENTS, read_trace, write_trace
 from reference import count_message_delays
 
 
@@ -152,6 +153,82 @@ def test_trace_serialization_round_trip():
     assert trace_from_jsonl(data.replace(b"\n", b"\r\n")) == res.trace
     with pytest.raises(ValueError):
         trace_from_jsonl(b'{"kind": "nonsense"}\n')
+
+
+def every_kind_world():
+    """A lossy write-once world with a crash and a recovery: its trace has
+    rows of every `EVENTS` kind."""
+    scripts = cli.default_scripts(Mode.WRITE_ONCE, 3)
+    plan = random_crash_plan(0, 3, 1, 200, [s.proposer for s in scripts])
+    sim = SimConfig(seed=0, fifo=False, drop=0.1, dup=0.1, max_delay=10, crash_plan=plan)
+    return run_workload(Config(n_acceptors=3, register_mode=Mode.WRITE_ONCE), sim, scripts)
+
+
+# The JSONL line of the first event of each kind in `every_kind_world`, as
+# written when the trace still held one record object per event.
+FIRST_OF_EACH_KIND = {
+    "send": b'{"depth":1,"dst":0,"idx":0,"kind":"send",'
+            b'"msg":"01000000017200000000000003e900000000000000000000000000","src":1001,"tick":0}',
+    "deliver": b'{"kind":"deliver","send_idx":3,"tick":2}',
+    "drop": b'{"kind":"drop","reason":"loss","send_idx":14,"tick":6}',
+    "duplicate": b'{"kind":"duplicate","send_idx":0,"tick":0}',
+    "crash": b'{"kind":"crash","pid":1,"tick":19}',
+    "recover": b'{"kind":"recover","pid":1,"tick":41}',
+    "snapshot": b'{"key":"72","kind":"snapshot","pid":1,"state":{"r_ack":[1,1000],'
+                b'"r_voted":[0,null],"req":null,"val":{"empty":true,"payload":""}},"tick":12}',
+    "invoke": b'{"client":1,"key":"72","kind":"invoke","op":0,"op_index":0,"tick":0,'
+              b'"token":null}',
+    "response": b'{"client":0,"depth":2,"key":"72","kind":"response","op_index":0,"status":1,'
+                b'"tick":9,"value":{"empty":true,"payload":""}}',
+}
+
+
+def test_each_kind_of_row_writes_the_bytes_of_its_record():
+    """A row is `(kind, *fields)` in its record class's field order: the
+    record built from it writes the line the record form always wrote, as
+    does the row itself, and the record's row is the row again."""
+    first = {}
+    for row in every_kind_world().trace.rows:
+        first.setdefault(row[0], row)
+    assert set(first) == set(EVENTS) == set(FIRST_OF_EACH_KIND)
+    for name, row in first.items():
+        record = trace.record_of(row)
+        assert type(record) is EVENTS[name][0]
+        assert trace.row_of(record) == row
+        line = FIRST_OF_EACH_KIND[name] + b"\n"
+        assert trace_to_jsonl([record]) == line
+        assert trace_to_jsonl(trace.Trace([row])) == line
+
+
+def test_trace_is_a_read_only_sequence_of_records():
+    res = every_kind_world()
+    rows = res.trace.rows
+    records = [trace.record_of(row) for row in rows]
+    view = res.trace
+    assert isinstance(view, trace.Trace) and not hasattr(view, "append")
+    assert len(view) == len(rows) > 100
+    assert list(view) == records
+    assert view[0] == records[0] and view[-1] == records[-1]
+    assert view[3:9] == records[3:9] and view[::-50] == records[::-50]
+    assert view == records and records == view
+    assert view == tuple(records) and view == trace.Trace(list(rows))
+    assert view != records[:-1] and records[1:] != view
+    assert view != [*records[:-1], records[0]]
+    assert (view == 7) is False
+    with pytest.raises(TypeError):
+        hash(view)
+    assert trace.Trace([]) == [] and [] == trace.Trace([])
+
+
+def test_storm_deliveries_are_untracked_by_the_collector():
+    """A delivery's row holds a kind name and two ints: after a collection
+    the collector no longer walks it, nor a drop's or a duplicate's."""
+    res = next(storm_runs())
+    gc.collect()
+    rows = res.trace.rows
+    delivers = [row for row in rows if row[0] == "deliver"]
+    assert len(delivers) > len(rows) // 3
+    assert not any(gc.is_tracked(row) for row in rows if row[0] in ("deliver", "drop"))
 
 
 def test_fifo_links_deliver_in_order_without_loss():
